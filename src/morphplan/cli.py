@@ -301,6 +301,8 @@ def cmd_validate(args) -> CommandResult:
 
 def cmd_synth(args) -> CommandResult:
     doc = parse_model_file(args.model)
+    target = args.node or doc.model.root
+    doc.model.component(target)  # an unknown id is a usage error
     report = _base_report("synth", args, doc)
     sections, warnings, root_ok = _synth_sections(doc, args.algorithm, args.layers)
     outcome = sections.pop("_outcome")
@@ -311,9 +313,11 @@ def cmd_synth(args) -> CommandResult:
     report["warnings"] = warnings + mismatch_warnings
     dot = None
     if args.format == "dot":
-        target = args.node or doc.model.root
         frontier = outcome.frontiers.get(target)
-        dot = frontier_dot(frontier) if frontier is not None else ""
+        if frontier is None:
+            reason = outcome.infeasible.get(target, "")
+            return CommandResult(report, f"node {target}: infeasible ({reason})\n", EXIT_INFEASIBLE)
+        dot = frontier_dot(frontier)
     return _finish(report, args, EXIT_OK if root_ok else EXIT_INFEASIBLE, dot)
 
 

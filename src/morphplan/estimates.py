@@ -25,9 +25,15 @@ from .model import (
     QualityVector,
     SolutionError,
     cumulative,
-    e_dominates,
 )
-from .synthesis import Candidate, Frontier, _child_candidates, pareto_filter
+from .synthesis import (
+    Candidate,
+    Frontier,
+    QualityKey,
+    _child_candidates,
+    pareto_filter,
+    quality_key,
+)
 
 Estimate = tuple[int, ...]
 
@@ -272,13 +278,11 @@ def multiset_synthesize(
             chosen.pop()
 
     extend(0, nu)
-    return pareto_filter(solutions, dominates=_median_dominates)
+    return pareto_filter(solutions, key=_median_key)
 
 
-def _median_dominates(a: CompositeSolution, b: CompositeSolution) -> bool:
-    assert a.deviation is not None and b.deviation is not None
-    return (
-        a.quality.w >= b.quality.w
-        and e_dominates(a.quality.e, b.quality.e)
-        and a.deviation <= b.deviation
-    )
+def _median_key(sol: CompositeSolution) -> QualityKey:
+    """The ordinal key extended by -deviation: a smaller deviation is
+    better, and a larger one may not dominate."""
+    assert sol.deviation is not None
+    return (*quality_key(sol), -sol.deviation)

@@ -81,10 +81,6 @@ def e_dominates(e1: Sequence[int], e2: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(c1, c2))
 
 
-def e_strictly_dominates(e1: Sequence[int], e2: Sequence[int]) -> bool:
-    return tuple(e1) != tuple(e2) and e_dominates(e1, e2)
-
-
 @dataclass(frozen=True)
 class QualityVector:
     """Two-part score (w; e) of a composite selection.

@@ -3,11 +3,11 @@ drawings of dominance posets (frontiers and estimate scales)."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .model import e_dominates, n_dominates
+from .model import CompositeSolution, QualityVector, cumulative
 from .modeldoc import canonical_json
-from .synthesis import Frontier
+from .synthesis import Frontier, QualityKey, _check_counts, _dominates, quality_key
 
 
 def render_json(report: dict) -> str:
@@ -97,17 +97,12 @@ def _fmt_q(q: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cover_edges(
-    items: Sequence, dominates: Callable
-) -> list[tuple[int, int]]:
-    """Hasse edges of a strict dominance relation: i -> j when i beats
-    j with nothing strictly between them."""
-    n = len(items)
+def cover_edges(keys: Sequence[QualityKey]) -> list[tuple[int, int]]:
+    """Hasse edges of strict dominance over keys (componentwise >=):
+    i -> j when i beats j with nothing strictly between them."""
+    n = len(keys)
     strict = [
-        [
-            i != j and dominates(items[i], items[j]) and not dominates(items[j], items[i])
-            for j in range(n)
-        ]
+        [keys[i] != keys[j] and _dominates(keys[i], keys[j]) for j in range(n)]
         for i in range(n)
     ]
     edges = []
@@ -121,18 +116,19 @@ def cover_edges(
 
 
 def frontier_dot(frontier: Frontier) -> str:
-    """The frontier's quality poset: one node per solution, ranked by
-    w, edges along the dominance cover relation."""
-    sols = frontier.solutions
-    edges = cover_edges(
-        sols, lambda a, b: n_dominates(a.quality, b.quality)
-    )
+    """The frontier's quality poset: one node per distinct (w; e),
+    labelled with the labels of all its solutions and then the
+    quality, ranked by w, edges along the dominance cover relation."""
+    groups: dict[QualityVector, list[CompositeSolution]] = {}
+    for sol in frontier.solutions:
+        groups.setdefault(sol.quality, []).append(sol)
+    edges = cover_edges([quality_key(sols[0]) for sols in groups.values()])
     lines = ["digraph quality {", "  rankdir=TB;", '  node [shape=box, fontsize=10];']
-    for i, sol in enumerate(sols):
-        lines.append(f'  n{i} [label="{sol.label}\\n{sol.quality}"];')
     by_w: dict[int, list[int]] = {}
-    for i, sol in enumerate(sols):
-        by_w.setdefault(sol.quality.w, []).append(i)
+    for i, (q, sols) in enumerate(groups.items()):
+        label = "\\n".join([*(sol.label for sol in sols), str(q)])
+        lines.append(f'  n{i} [label="{label}"];')
+        by_w.setdefault(q.w, []).append(i)
     for w in sorted(by_w, reverse=True):
         members = " ".join(f"n{i};" for i in by_w[w])
         lines.append(f"  {{ rank=same; {members} }}")
@@ -144,7 +140,8 @@ def frontier_dot(frontier: Frontier) -> str:
 
 def estimate_scale_dot(estimates: Sequence[tuple[int, ...]]) -> str:
     """The dominance poset of an estimate scale, best at the top."""
-    edges = cover_edges(list(estimates), e_dominates)
+    _check_counts(estimates)
+    edges = cover_edges([cumulative(est) for est in estimates])
     lines = ["digraph estimates {", "  rankdir=TB;", '  node [shape=oval, fontsize=10];']
     for i, est in enumerate(estimates):
         label = "(" + ",".join(str(c) for c in est) + ")"

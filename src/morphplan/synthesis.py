@@ -10,18 +10,17 @@ solutions of a composite node become ranked candidates for its parent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     Component,
     CompositeSolution,
     InfeasibleNodeError,
+    InvalidComparisonError,
     MorphModel,
     QualityVector,
     SolutionError,
     cumulative,
-    e_strictly_dominates,
-    n_dominates,
 )
 
 
@@ -167,62 +166,100 @@ def enumerate_admissible(
 
 
 # ---------------------------------------------------------------------------
-# Pareto layering
+# Dominance kernel
 # ---------------------------------------------------------------------------
 
-Dominates = Callable[[CompositeSolution, CompositeSolution], bool]
+# A quality mapped to a tuple where higher is better in every coordinate,
+# so dominance is componentwise >= and strict dominance adds "not equal".
+QualityKey = tuple[int, ...]
 
 
-def _quality_dominates(a: CompositeSolution, b: CompositeSolution) -> bool:
-    return n_dominates(a.quality, b.quality)
+def quality_key(sol: CompositeSolution) -> QualityKey:
+    """(w, *prefix sums of e): (w; e) dominance is componentwise >=."""
+    return (sol.quality.w, *cumulative(sol.quality.e))
+
+
+def _dominates(a: QualityKey, b: QualityKey) -> bool:
+    return all(x >= y for x, y in zip(a, b))
+
+
+def _check_counts(counts: Iterable[Sequence[int]]) -> None:
+    """Count vectors are comparable only at one length and one total."""
+    shape: tuple[int, int] | None = None
+    for e in counts:
+        cur = (len(e), sum(e))
+        if shape is None:
+            shape = cur
+        elif cur[0] != shape[0]:
+            raise InvalidComparisonError(
+                f"count vectors differ in length: {shape[0]} vs {cur[0]}"
+            )
+        elif cur[1] != shape[1]:
+            raise InvalidComparisonError(
+                f"count vectors differ in total: {shape[1]} vs {cur[1]}"
+            )
+
+
+def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
+    """Dominance layer of each distinct key: one more than the deepest
+    layer among the keys that strictly beat it.
+
+    Lexicographically larger keys come first, so every strict
+    dominator of a key is layered before it.
+    """
+    layer_of: dict[QualityKey, int] = {}
+    for key in sorted(set(keys), reverse=True):
+        layer_of[key] = 1 + max(
+            (layer for k, layer in layer_of.items() if _dominates(k, key)), default=0
+        )
+    return layer_of
+
+
+# ---------------------------------------------------------------------------
+# Pareto layering
+# ---------------------------------------------------------------------------
 
 
 def peel_layers(
     solutions: Sequence[CompositeSolution],
-    dominates: Dominates = _quality_dominates,
+    key: Callable[[CompositeSolution], QualityKey] = quality_key,
 ) -> tuple[tuple[CompositeSolution, ...], tuple[int, ...]]:
-    """Assign dominance layers by repeatedly removing the maximal set.
+    """Assign dominance layers: layer 1 is the maximal set, layer k+1
+    what becomes maximal once layers <= k are removed.
 
-    Relies on the sort order agreeing with dominance: a strict
-    dominator always precedes its victim, so one pass against the
-    running front suffices per layer.
+    A layer depends only on the quality, so the distinct qualities are
+    peeled and the layers mapped back to the solutions. ``key`` must
+    depend only on a solution's quality and deviation, and a key
+    dominates another when it is componentwise >=. Raises
+    InvalidComparisonError when the count vectors differ in length or
+    total.
     """
     ordered = sorted(solutions, key=solution_sort_key)
-    layer_of: dict[int, int] = {}
-    remaining = list(range(len(ordered)))
-    layer = 0
-    while remaining:
-        layer += 1
-        front: list[int] = []
-        rest: list[int] = []
-        for idx in remaining:
-            sol = ordered[idx]
-            if any(
-                dominates(ordered[f], sol) and not dominates(sol, ordered[f])
-                for f in front
-            ):
-                rest.append(idx)
-            else:
-                front.append(idx)
-        for idx in front:
-            layer_of[idx] = layer
-        remaining = rest
-    return tuple(ordered), tuple(layer_of[i] for i in range(len(ordered)))
+    keys: dict[tuple[QualityVector, int | None], QualityKey] = {}
+    for sol in ordered:
+        q = (sol.quality, sol.deviation)
+        if q not in keys:
+            keys[q] = key(sol)
+    _check_counts(q.e for q, _ in keys)
+    layer_of = _key_layers(keys.values())
+    return tuple(ordered), tuple(
+        layer_of[keys[(s.quality, s.deviation)]] for s in ordered
+    )
 
 
 def pareto_filter(
     solutions: Sequence[CompositeSolution],
-    dominates: Dominates = _quality_dominates,
+    key: Callable[[CompositeSolution], QualityKey] = quality_key,
 ) -> Frontier:
     """Layer a set of solutions of one node; layer 1 is the
-    non-dominated set."""
+    non-dominated set. ``key`` is as in ``peel_layers``."""
     nodes = {s.node for s in solutions}
     if len(nodes) > 1:
         raise SolutionError(f"solutions score different nodes: {sorted(nodes)}")
     for s in solutions:
         if s.quality.w < 1:
             raise SolutionError(f"inadmissible solution (w=0): {s.label}")
-    ordered, layers = peel_layers(solutions, dominates)
+    ordered, layers = peel_layers(solutions, key)
     return Frontier(node=nodes.pop() if nodes else "", solutions=ordered, layers=layers)
 
 
@@ -303,23 +340,23 @@ def synthesize_dp(
 
 
 def _prune_group(group: list) -> list:
-    """Drop states strictly-dominated within an equivalence group.
+    """Drop the states of an equivalence group whose (w; e) is strictly
+    beaten by another distinct (w; e) in the group.
 
-    Only a strictly better count vector may evict (with w at least as
-    large): equal counts with larger w do not, because a later
-    zero-free bottleneck can level the w values and leave both
-    selections tied on the frontier.
+    Only strictly better counts may evict (with w at least as large):
+    equal counts with larger w do not, because a later zero-free
+    bottleneck can level the w values and leave both selections tied
+    on the frontier. Each distinct quality is keyed and compared once.
     """
-    keep = []
-    for i, (picks_i, w_i, e_i) in enumerate(group):
-        evicted = False
-        for j, (picks_j, w_j, e_j) in enumerate(group):
-            if i != j and w_j >= w_i and e_strictly_dominates(e_j, e_i):
-                evicted = True
-                break
-        if not evicted:
-            keep.append(group[i])
-    return keep
+    if len(group) == 1:
+        return group
+    keys = {(w, e): (w, *cumulative(e)) for _, w, e in group}
+    beaten = {
+        q
+        for q, a in keys.items()
+        if any(b[1:] != a[1:] and _dominates(b, a) for b in keys.values())
+    }
+    return [st for st in group if (st[1], st[2]) not in beaten]
 
 
 # ---------------------------------------------------------------------------

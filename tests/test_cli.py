@@ -69,7 +69,8 @@ def test_synth_dot_output_groups_by_w():
     assert "rank=same" in result.output
 
 
-def test_synth_infeasible_model_exits_one(tmp_path):
+def zero_model(tmp_path):
+    """A root whose only selection pairs at compatibility 0."""
     doc = {
         "morph_schema": 1,
         "scale": {"l": 3, "nu": 4},
@@ -83,10 +84,49 @@ def test_synth_infeasible_model_exits_one(tmp_path):
     }
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
-    result = run_command(["synth", str(path), "--format", "json"])
+    return str(path)
+
+
+def test_synth_infeasible_model_exits_one(tmp_path):
+    result = run_command(["synth", zero_model(tmp_path), "--format", "json"])
     assert result.code == 1
     report = json.loads(result.output)
     assert report["frontiers"]["N"]["infeasible"] is True
+
+
+def test_synth_dot_unknown_node_is_a_usage_error():
+    result = run_command(["synth", ARK, "--format", "dot", "--node", "NOPE"])
+    assert result.code == 2
+    assert result.output == "error: unknown component 'NOPE'\n"
+
+
+def test_synth_dot_infeasible_node_exits_one_with_reason(tmp_path):
+    result = run_command(["synth", zero_model(tmp_path), "--format", "dot", "--node", "N"])
+    assert result.code == 1
+    assert result.output == "node N: infeasible (no admissible selection)\n"
+
+
+def test_synth_dot_draws_one_node_per_distinct_quality():
+    argv = ["synth", KRU, "--algorithm", "brute"]
+    report = json.loads(run_command(argv + ["--format", "json"]).output)
+    labels = [s["label"] for s in report["frontiers"]["A4"]["solutions"]]
+    assert len(labels) == 1152
+    result = run_command(argv + ["--format", "dot", "--node", "A4"])
+    assert result.code == 0
+    nodes = dict(re.findall(r'^  (n\d+) \[label="(.*)"\];$', result.output, re.M))
+    assert len(nodes) == 6
+    quality = {}
+    drawn = []
+    for node, label in nodes.items():
+        *members, head = label.split("\\n")
+        w, e = re.fullmatch(r"\((\d+);([\d,]+)\)", head).groups()
+        quality[node] = QualityVector(int(w), tuple(int(c) for c in e.split(",")))
+        drawn += members
+    assert sorted(drawn) == sorted(labels)
+    edges = re.findall(r"^  (n\d+) -> (n\d+);$", result.output, re.M)
+    assert edges
+    for a, b in edges:
+        assert quality[a].strictly_dominates(quality[b])
 
 
 # ---------------------------------------------------------------------------
