@@ -27,14 +27,18 @@ from .analysis import kernel as solution_kernel
 from .estimates import enumerate_estimates, generalized_median, multiset_synthesize
 from .generator import generate_document
 from .knapsack import extend_kernel
-from .model import CompositeSolution, MorphError, QualityVector, system_quality
-from .modeldoc import DocumentError, ModelDocument, canonical_json, model_digest, parse_model_file
+from .model import CompositeSolution, MorphError, MorphModel, QualityVector, system_quality
+from .modeldoc import DocumentError, ExpectedSolution, KnapsackSection, ModelDocument
+from .modeldoc import canonical_json, model_digest, parse_model_file
 from .reporting import estimate_scale_dot, frontier_dot, render_json, render_text
-from .synthesis import Frontier, hierarchical_synthesize
+from .synthesis import Frontier, SynthesisOutcome, hierarchical_synthesize
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
+
+# The fields of a bottleneck action that `report` prints.
+_REPORT_ACTION_FIELDS = ("kind", "describe", "new_w", "new_e")
 
 
 @dataclass
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize frontiers bottom-up")
     model_arg(p)
     p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    p.add_argument("--layers", type=int, default=None)
+    p.add_argument("--layers", type=_layer_count, default=None)
     p.add_argument("--node", default=None, help="node for dot output")
     fmt(p, ("text", "json", "dot"))
     p.set_defaults(handler=cmd_synth)
@@ -125,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_arg(p)
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    p.add_argument("--layers", type=int, default=None)
+    p.add_argument("--layers", type=_layer_count, default=None)
     fmt(p)
     p.set_defaults(handler=cmd_kernel)
 
@@ -141,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full run: everything the model supports")
     model_arg(p)
     p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    p.add_argument("--layers", type=int, default=None)
+    p.add_argument("--layers", type=_layer_count, default=None)
     p.add_argument("--budget", type=_parse_budget, default=None)
     p.add_argument("--method", choices=["greedy", "exact"], default="greedy")
     p.add_argument("--enforce-condition2", choices=["true", "false"], default="true")
@@ -151,6 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_report)
 
     return parser
+
+
+def _layer_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
+    return value
 
 
 def _parse_budget(text: str):
@@ -246,7 +260,11 @@ def _named_entry(exp, computed: QualityVector, warnings: list[str]) -> dict:
     }
 
 
-def _synth_sections(doc: ModelDocument, algorithm: str, layers: int | None) -> tuple[dict, list[str], bool]:
+def _synth_sections(
+    doc: ModelDocument, algorithm: str, layers: int | None
+) -> tuple[dict, SynthesisOutcome, bool]:
+    """The frontiers, named and warnings sections, the outcome they
+    come from, and whether the root is feasible."""
     outcome = hierarchical_synthesize(doc.model, algorithm=algorithm, max_layers=layers)
     frontiers: dict = {}
     for comp in doc.model.postorder():
@@ -262,12 +280,117 @@ def _synth_sections(doc: ModelDocument, algorithm: str, layers: int | None) -> t
                 "solutions": [],
             }
     root_ok = doc.model.root in outcome.frontiers or doc.model.component(doc.model.root).is_leaf
-    sections = {"frontiers": frontiers, "_outcome": outcome}
-    return sections, list(doc.options.notes), root_ok
+    sections: dict = {"frontiers": frontiers}
+    named, mismatch_warnings = _named_ordinal(doc)
+    if named:
+        sections["named"] = named
+    sections["warnings"] = list(doc.options.notes) + mismatch_warnings
+    return sections, outcome, root_ok
+
+
+def _leaf_parents(model: MorphModel) -> list[str]:
+    """Composite nodes whose children are all leaves, bottom-up."""
+    return [
+        comp.id
+        for comp in model.postorder()
+        if not comp.is_leaf and all(model.component(c).is_leaf for c in comp.children)
+    ]
+
+
+def _bottlenecks_section(
+    model: MorphModel,
+    outcome: SynthesisOutcome,
+    nodes: Sequence[str],
+    expected: Sequence[ExpectedSolution] = (),
+) -> dict:
+    """Improvement actions by node and solution label, for the layer-1
+    solutions of each node and the named ordinal selections in
+    ``expected``."""
+    per_node: dict = {}
+    for node_id in nodes:
+        comp = model.component(node_id)
+        targets: dict[str, CompositeSolution] = {}
+        frontier = outcome.frontiers.get(node_id)
+        if frontier is not None:
+            for sol in frontier.layer(1):
+                targets[sol.label] = sol
+        for exp in expected:
+            if exp.kind == "ordinal" and exp.node == node_id:
+                q = system_quality(exp.picks, comp, model)
+                sol = CompositeSolution(
+                    node=node_id,
+                    picks=tuple((c, exp.picks[c]) for c in comp.children),
+                    quality=q,
+                )
+                targets[sol.label] = sol
+        per_node[node_id] = {
+            label: [
+                {
+                    "kind": act.kind,
+                    "component": act.component,
+                    "target": list(act.target) if isinstance(act.target, tuple) else act.target,
+                    "before": act.before,
+                    "after": act.after,
+                    "describe": act.describe(),
+                    "new_w": act.new_quality.w,
+                    "new_e": list(act.new_quality.e),
+                }
+                for act in solution_bottlenecks(sol, model)
+            ]
+            for label, sol in sorted(targets.items())
+        }
+    return per_node
+
+
+def _kernel_section(
+    model: MorphModel, outcome: SynthesisOutcome, threshold: float
+) -> dict | None:
+    """Agreement over the root's layer 1; None when the root is infeasible."""
+    root_frontier = outcome.frontiers.get(model.root)
+    if root_frontier is None:
+        return None
+    solutions = root_frontier.layer(1)
+    result = solution_kernel(solutions, threshold=threshold)
+    return {
+        "node": result.node,
+        "count": len(solutions),
+        "threshold": threshold,
+        "kernel": dict(sorted(result.kernel.items())),
+        "superstructure": {
+            child: list(picks) for child, picks in sorted(result.superstructure.items())
+        },
+    }
+
+
+def _aggregation_section(knapsack: KnapsackSection, budget, method: str) -> list[dict]:
+    """One plan per budget: the given one, else each budget of the model."""
+    budgets = [budget] if budget is not None else list(knapsack.budgets)
+    entries = []
+    for b in budgets:
+        plan = extend_kernel(knapsack.kernel, knapsack.instance(b), method=method)
+        entry = {"budget": _num_out(b), "method": method, "feasible": plan.feasible}
+        if plan.feasible:
+            entry.update(
+                {
+                    "picks": plan.picks_map(),
+                    "plan": plan.label,
+                    "total_cost": _num_out(plan.total_cost),
+                    "total_profit": _num_out(plan.total_profit),
+                    "alternatives": [
+                        {
+                            "items": list(alt.item_ids()),
+                            "cost": _num_out(alt.total_cost),
+                            "profit": _num_out(alt.total_profit),
+                        }
+                        for alt in plan.alternatives
+                    ],
+                }
+            )
+        entries.append(entry)
+    return entries
 
 
 def _finish(report: dict, args, code: int, dot: str | None = None) -> CommandResult:
-    report.pop("_outcome", None)
     if args.format == "json":
         output = render_json(report)
     elif args.format == "dot":
@@ -304,13 +427,8 @@ def cmd_synth(args) -> CommandResult:
     target = args.node or doc.model.root
     doc.model.component(target)  # an unknown id is a usage error
     report = _base_report("synth", args, doc)
-    sections, warnings, root_ok = _synth_sections(doc, args.algorithm, args.layers)
-    outcome = sections.pop("_outcome")
+    sections, outcome, root_ok = _synth_sections(doc, args.algorithm, args.layers)
     report.update(sections)
-    named, mismatch_warnings = _named_ordinal(doc)
-    if named:
-        report["named"] = named
-    report["warnings"] = warnings + mismatch_warnings
     dot = None
     if args.format == "dot":
         frontier = outcome.frontiers.get(target)
@@ -326,48 +444,9 @@ def cmd_bottlenecks(args) -> CommandResult:
     model = doc.model
     report = _base_report("bottlenecks", args, doc)
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm)
-    nodes = [args.node] if args.node else [
-        comp.id
-        for comp in model.postorder()
-        if not comp.is_leaf
-        and all(model.component(c).is_leaf for c in comp.children)
-    ]
-    per_node: dict = {}
-    warnings = list(doc.options.notes)
-    for node_id in nodes:
-        comp = model.component(node_id)
-        targets: dict[str, CompositeSolution] = {}
-        frontier = outcome.frontiers.get(node_id)
-        if frontier is not None:
-            for sol in frontier.layer(1):
-                targets[sol.label] = sol
-        for exp in doc.options.expected:
-            if exp.kind == "ordinal" and exp.node == node_id:
-                q = system_quality(exp.picks, comp, model)
-                sol = CompositeSolution(
-                    node=node_id,
-                    picks=tuple((c, exp.picks[c]) for c in comp.children),
-                    quality=q,
-                )
-                targets[sol.label] = sol
-        per_node[node_id] = {
-            label: [
-                {
-                    "kind": act.kind,
-                    "component": act.component,
-                    "target": list(act.target) if isinstance(act.target, tuple) else act.target,
-                    "before": act.before,
-                    "after": act.after,
-                    "describe": act.describe(),
-                    "new_w": act.new_quality.w,
-                    "new_e": list(act.new_quality.e),
-                }
-                for act in solution_bottlenecks(sol, model)
-            ]
-            for label, sol in sorted(targets.items())
-        }
-    report["bottlenecks"] = per_node
-    report["warnings"] = warnings
+    nodes = [args.node] if args.node else _leaf_parents(model)
+    report["bottlenecks"] = _bottlenecks_section(model, outcome, nodes, doc.options.expected)
+    report["warnings"] = list(doc.options.notes)
     return _finish(report, args, EXIT_OK)
 
 
@@ -404,10 +483,7 @@ def cmd_median(args) -> CommandResult:
         "eta": eta,
         "gap_rule": enforce,
         "metric": args.metric,
-        "solutions": [
-            _solution_dict(sol, layer)
-            for sol, layer in zip(frontier.solutions, frontier.layers)
-        ],
+        "solutions": _frontier_dict(frontier)["solutions"],
     }
 
     named = []
@@ -444,44 +520,15 @@ def cmd_aggregate(args) -> CommandResult:
         return CommandResult(
             report={}, output="error: model has no knapsack section\n", code=EXIT_USAGE
         )
-    section = doc.knapsack
-    budgets = [args.budget] if args.budget is not None else list(section.budgets)
-    if not budgets:
+    entries = _aggregation_section(doc.knapsack, args.budget, args.method)
+    if not entries:
         return CommandResult(
             report={}, output="error: no budget given and none in the model\n", code=EXIT_USAGE
         )
-    entries = []
-    any_infeasible = False
-    for budget in budgets:
-        plan = extend_kernel(section.kernel, section.instance(budget), method=args.method)
-        entry = {
-            "budget": _num_out(budget),
-            "method": args.method,
-            "feasible": plan.feasible,
-        }
-        if plan.feasible:
-            entry.update(
-                {
-                    "picks": plan.picks_map(),
-                    "plan": plan.label,
-                    "total_cost": _num_out(plan.total_cost),
-                    "total_profit": _num_out(plan.total_profit),
-                    "alternatives": [
-                        {
-                            "items": list(alt.item_ids()),
-                            "cost": _num_out(alt.total_cost),
-                            "profit": _num_out(alt.total_profit),
-                        }
-                        for alt in plan.alternatives
-                    ],
-                }
-            )
-        else:
-            any_infeasible = True
-        entries.append(entry)
     report["aggregation"] = entries
     report["warnings"] = list(doc.options.notes)
-    return _finish(report, args, EXIT_INFEASIBLE if any_infeasible else EXIT_OK)
+    feasible = all(entry["feasible"] for entry in entries)
+    return _finish(report, args, EXIT_OK if feasible else EXIT_INFEASIBLE)
 
 
 def cmd_kernel(args) -> CommandResult:
@@ -489,21 +536,11 @@ def cmd_kernel(args) -> CommandResult:
     model = doc.model
     report = _base_report("kernel", args, doc)
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
-    root_frontier = outcome.frontiers.get(model.root)
-    if root_frontier is None:
+    section = _kernel_section(model, outcome, args.threshold)
+    if section is None:
         report["warnings"] = [f"root infeasible: {outcome.infeasible.get(model.root, '')}"]
         return _finish(report, args, EXIT_INFEASIBLE)
-    solutions = root_frontier.layer(1)
-    result = solution_kernel(solutions, threshold=args.threshold)
-    report["kernel"] = {
-        "node": result.node,
-        "count": len(solutions),
-        "threshold": args.threshold,
-        "kernel": dict(sorted(result.kernel.items())),
-        "superstructure": {
-            child: list(picks) for child, picks in sorted(result.superstructure.items())
-        },
-    }
+    report["kernel"] = section
     report["warnings"] = list(doc.options.notes)
     return _finish(report, args, EXIT_OK)
 
@@ -526,66 +563,30 @@ def cmd_report(args) -> CommandResult:
     model = doc.model
     report = _base_report("report", args, doc)
     report["validation"] = []
-    sections, warnings, root_ok = _synth_sections(doc, args.algorithm, args.layers)
-    outcome = sections.pop("_outcome")
+    sections, outcome, root_ok = _synth_sections(doc, args.algorithm, args.layers)
     report.update(sections)
-    named, mismatch_warnings = _named_ordinal(doc)
-    if named:
-        report["named"] = named
-    warnings += mismatch_warnings
 
-    per_node: dict = {}
-    for comp in model.postorder():
-        if comp.is_leaf or not all(model.component(c).is_leaf for c in comp.children):
-            continue
-        frontier = outcome.frontiers.get(comp.id)
-        if frontier is None:
-            continue
-        per_node[comp.id] = {
-            sol.label: [
-                {"kind": act.kind, "describe": act.describe(),
-                 "new_w": act.new_quality.w, "new_e": list(act.new_quality.e)}
-                for act in solution_bottlenecks(sol, model)
+    nodes = [node for node in _leaf_parents(model) if node in outcome.frontiers]
+    report["bottlenecks"] = {
+        node: {
+            label: [{key: act[key] for key in _REPORT_ACTION_FIELDS} for act in actions]
+            for label, actions in per_label.items()
+        }
+        for node, per_label in _bottlenecks_section(model, outcome, nodes).items()
+    }
+
+    kernel = _kernel_section(model, outcome, args.threshold)
+    if kernel is not None:
+        report["kernel"] = kernel
+
+    if doc.knapsack is not None:
+        entries = _aggregation_section(doc.knapsack, args.budget, args.method)
+        if entries:
+            report["aggregation"] = [
+                {key: value for key, value in entry.items() if key != "alternatives"}
+                for entry in entries
             ]
-            for sol in frontier.layer(1)
-        }
-    report["bottlenecks"] = per_node
 
-    root_frontier = outcome.frontiers.get(model.root)
-    if root_frontier is not None and root_frontier.solutions:
-        result = solution_kernel(root_frontier.layer(1), threshold=args.threshold)
-        report["kernel"] = {
-            "node": result.node,
-            "count": len(root_frontier.layer(1)),
-            "threshold": args.threshold,
-            "kernel": dict(sorted(result.kernel.items())),
-            "superstructure": {
-                child: list(picks)
-                for child, picks in sorted(result.superstructure.items())
-            },
-        }
-
-    if doc.knapsack is not None and (doc.knapsack.budgets or args.budget is not None):
-        budgets = [args.budget] if args.budget is not None else list(doc.knapsack.budgets)
-        entries = []
-        for budget in budgets:
-            plan = extend_kernel(
-                doc.knapsack.kernel, doc.knapsack.instance(budget), method=args.method
-            )
-            entry = {"budget": _num_out(budget), "method": args.method, "feasible": plan.feasible}
-            if plan.feasible:
-                entry.update(
-                    {
-                        "picks": plan.picks_map(),
-                        "plan": plan.label,
-                        "total_cost": _num_out(plan.total_cost),
-                        "total_profit": _num_out(plan.total_profit),
-                    }
-                )
-            entries.append(entry)
-        report["aggregation"] = entries
-
-    report["warnings"] = warnings
     return _finish(report, args, EXIT_OK if root_ok else EXIT_INFEASIBLE)
 
 

@@ -30,6 +30,7 @@ from .synthesis import (
     Candidate,
     Frontier,
     QualityKey,
+    _admissible_states,
     _child_candidates,
     pareto_filter,
     quality_key,
@@ -245,39 +246,22 @@ def multiset_synthesize(
                     f"estimate of {cand.id!r} has shape {cur}, expected {shape}"
                 )
 
-    nu = model.scale.max_compat
-    solutions: list[CompositeSolution] = []
-    chosen: list[Candidate] = []
-
-    def extend(idx: int, w: int) -> None:
-        if idx == len(lists):
-            observed = [c.estimate for c in chosen if c.estimate is not None]
-            median = generalized_median(
-                observed, enforce_gap_rule=enforce_gap_rule, metric=metric
+    solutions = []
+    for picks, w, _ in _admissible_states(node, model, lists):
+        chosen = [cands[a] for (_, cands), a in zip(lists, picks)]
+        median = generalized_median(
+            [c.estimate for c in chosen if c.estimate is not None],
+            enforce_gap_rule=enforce_gap_rule,
+            metric=metric,
+        )
+        solutions.append(
+            CompositeSolution(
+                node=node.id,
+                picks=tuple((child_id, c.id) for (child_id, _), c in zip(lists, chosen)),
+                quality=QualityVector(w=w, e=median.best),
+                deviation=median.deviation,
             )
-            picks = tuple((lists[i][0], chosen[i].id) for i in range(len(chosen)))
-            solutions.append(
-                CompositeSolution(
-                    node=node.id,
-                    picks=picks,
-                    quality=QualityVector(w=w, e=median.best),
-                    deviation=median.deviation,
-                )
-            )
-            return
-        for cand in lists[idx][1]:
-            wv = w
-            for prev in chosen:
-                wv = min(wv, model.compat_value(node, prev.id, cand.id))
-                if wv == 0:
-                    break
-            if wv == 0:
-                continue
-            chosen.append(cand)
-            extend(idx + 1, wv)
-            chosen.pop()
-
-    extend(0, nu)
+        )
     return pareto_filter(solutions, key=_median_key)
 
 

@@ -107,13 +107,6 @@ def n_dominates(n1: QualityVector, n2: QualityVector) -> bool:
     return n1.w >= n2.w and e_dominates(n1.e, n2.e)
 
 
-def unit_counts(levels: int, priority: int) -> tuple[int, ...]:
-    """Count vector of a single pick at the given priority level."""
-    counts = [0] * levels
-    counts[priority - 1] = 1
-    return tuple(counts)
-
-
 # ---------------------------------------------------------------------------
 # Model types
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def frontier_dot(frontier: Frontier) -> str:
     lines = ["digraph quality {", "  rankdir=TB;", '  node [shape=box, fontsize=10];']
     by_w: dict[int, list[int]] = {}
     for i, (q, sols) in enumerate(groups.items()):
-        label = "\\n".join([*(sol.label for sol in sols), str(q)])
+        label = "\\n".join([*(_dot_escape(sol.label) for sol in sols), str(q)])
         lines.append(f'  n{i} [label="{label}"];')
         by_w.setdefault(q.w, []).append(i)
     for w in sorted(by_w, reverse=True):
@@ -136,6 +136,11 @@ def frontier_dot(frontier: Frontier) -> str:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    """Make text safe inside a double-quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def estimate_scale_dot(estimates: Sequence[tuple[int, ...]]) -> str:

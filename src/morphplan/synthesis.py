@@ -1,10 +1,11 @@
 """Composition of admissible selections and Pareto-efficient frontiers.
 
-Two interchangeable engines produce a node's frontier: full enumeration
-of admissible selections, and a left-to-right fold over the children
-that discards partial selections which can no longer reach the
-efficient layer. Whole trees are solved bottom-up: the retained
-solutions of a composite node become ranked candidates for its parent.
+One left-to-right walk over the children produces a node's admissible
+selections, under one of two prune policies: none (full enumeration,
+the brute-force oracle) or group dominance, which discards partial
+selections that can no longer reach the efficient layer. Whole trees
+are solved bottom-up: the retained solutions of a composite node
+become ranked candidates for its parent.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ class Frontier:
     def layer(self, k: int) -> tuple[CompositeSolution, ...]:
         return tuple(s for s, l in zip(self.solutions, self.layers) if l == k)
 
-    def layer_of(self, solution: CompositeSolution) -> int:
-        for s, l in zip(self.solutions, self.layers):
-            if s == solution:
-                return l
-        raise KeyError(solution.label)
-
     @property
     def max_layer(self) -> int:
         return max(self.layers, default=0)
@@ -100,15 +95,6 @@ def _child_candidates(
     return lists
 
 
-def _quality(
-    model: MorphModel, picks: Sequence[Candidate], w: int
-) -> QualityVector:
-    counts = [0] * model.scale.levels
-    for cand in picks:
-        counts[cand.priority - 1] += 1
-    return QualityVector(w=w, e=tuple(counts))
-
-
 def solution_sort_key(sol: CompositeSolution):
     """Report order: w desc, counts lexicographically desc, then label
     (and deviation asc where present) for reproducible output."""
@@ -122,8 +108,85 @@ def solution_sort_key(sol: CompositeSolution):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# The admissible walk
 # ---------------------------------------------------------------------------
+
+# A selection of one candidate per child so far, as indices into the
+# children's candidate lists, with its running w and its running counts
+# per priority level.
+_State = tuple[tuple[int, ...], int, tuple[int, ...]]
+
+
+def _admissible_states(
+    node: Component,
+    model: MorphModel,
+    lists: Sequence[tuple[str, tuple[Candidate, ...]]],
+    linked: Sequence[Sequence[bool]] | None = None,
+) -> list[_State]:
+    """Fold the children left to right into the admissible selections:
+    add one candidate per child, keep the minimum pairwise
+    compatibility as w, count the picks per priority level, and cut a
+    pick at the first zero.
+
+    Without ``linked`` every admissible selection comes back. With it
+    (``linked[i][j]``: the pick at child i matters while child j is
+    open), each step groups the states by their picks at positions
+    still linked to a later child and drops what ``_prune_group``
+    evicts from each group.
+    """
+    cands = [c for _, c in lists]
+    n = len(cands)
+    # compat[k][i][a][b]: candidate a of child i against candidate b of
+    # child k, for i < k; filled once per node.
+    compat = [
+        [
+            [[model.compat_value(node, a.id, b.id) for b in cands[k]] for a in cands[i]]
+            for i in range(k)
+        ]
+        for k in range(n)
+    ]
+    states: list[_State] = [((), model.scale.max_compat, (0,) * model.scale.levels)]
+    for k in range(n):
+        grown: list[_State] = []
+        for picks, w, counts in states:
+            rows = [compat[k][i][a] for i, a in enumerate(picks)]
+            for b, cand in enumerate(cands[k]):
+                wv = w
+                for row in rows:
+                    if row[b] < wv:
+                        wv = row[b]
+                        if wv == 0:
+                            break
+                if wv == 0:
+                    continue
+                cnt = list(counts)
+                cnt[cand.priority - 1] += 1
+                grown.append((picks + (b,), wv, tuple(cnt)))
+        if linked is not None:
+            keep_pos = [i for i in range(k + 1) if any(linked[i][k + 1 :])]
+            groups: dict[tuple[str, ...], list[_State]] = {}
+            for st in grown:
+                key = tuple(cands[i][st[0][i]].id for i in keep_pos)
+                groups.setdefault(key, []).append(st)
+            grown = [st for group in groups.values() for st in _prune_group(group)]
+        states = grown
+    return states
+
+
+def _solutions(
+    node: Component,
+    lists: Sequence[tuple[str, tuple[Candidate, ...]]],
+    states: Iterable[_State],
+) -> list[CompositeSolution]:
+    named = [[(child_id, cand.id) for cand in cands] for child_id, cands in lists]
+    return [
+        CompositeSolution(
+            node=node.id,
+            picks=tuple(map(list.__getitem__, named, picks)),
+            quality=QualityVector(w=w, e=counts),
+        )
+        for picks, w, counts in states
+    ]
 
 
 def enumerate_admissible(
@@ -137,30 +200,7 @@ def enumerate_admissible(
     so the walk touches only selections that can still be admissible.
     """
     lists = _child_candidates(node, model, candidates)
-    nu = model.scale.max_compat
-    out: list[CompositeSolution] = []
-    chosen: list[Candidate] = []
-
-    def extend(idx: int, w: int) -> None:
-        if idx == len(lists):
-            picks = tuple((lists[i][0], chosen[i].id) for i in range(len(chosen)))
-            out.append(
-                CompositeSolution(node=node.id, picks=picks, quality=_quality(model, chosen, w))
-            )
-            return
-        for cand in lists[idx][1]:
-            wv = w
-            for prev in chosen:
-                wv = min(wv, model.compat_value(node, prev.id, cand.id))
-                if wv == 0:
-                    break
-            if wv == 0:
-                continue
-            chosen.append(cand)
-            extend(idx + 1, wv)
-            chosen.pop()
-
-    extend(0, nu)
+    out = _solutions(node, lists, _admissible_states(node, model, lists))
     out.sort(key=solution_sort_key)
     return out
 
@@ -285,7 +325,6 @@ def synthesize_dp(
     """
     lists = _child_candidates(node, model, candidates)
     n = len(lists)
-    nu = model.scale.max_compat
 
     # linked[i][j]: the table names some pair between children i and j,
     # so the pick at i matters while j is still open. Default-valued
@@ -302,41 +341,8 @@ def synthesize_dp(
                 continue
             linked[ia][ib] = linked[ib][ia] = True
 
-    # state: (picks so far, running w, running counts)
-    State = tuple[tuple[Candidate, ...], int, tuple[int, ...]]
-    states: list[State] = [((), nu, (0,) * model.scale.levels)]
-    for k, (_, cands) in enumerate(lists):
-        grown: list[State] = []
-        for picks, w, counts in states:
-            for cand in cands:
-                wv = w
-                for prev in picks:
-                    wv = min(wv, model.compat_value(node, prev.id, cand.id))
-                    if wv == 0:
-                        break
-                if wv == 0:
-                    continue
-                cnt = list(counts)
-                cnt[cand.priority - 1] += 1
-                grown.append((picks + (cand,), wv, tuple(cnt)))
-        keep_pos = [i for i in range(k + 1) if any(linked[i][j] for j in range(k + 1, n))]
-        groups: dict[tuple[str, ...], list[State]] = {}
-        for st in grown:
-            key = tuple(st[0][i].id for i in keep_pos)
-            groups.setdefault(key, []).append(st)
-        states = []
-        for group in groups.values():
-            states.extend(_prune_group(group))
-
-    solutions = [
-        CompositeSolution(
-            node=node.id,
-            picks=tuple((lists[i][0], picks[i].id) for i in range(n)),
-            quality=QualityVector(w=w, e=counts),
-        )
-        for picks, w, counts in states
-    ]
-    return pareto_filter(solutions)
+    states = _admissible_states(node, model, lists, linked)
+    return pareto_filter(_solutions(node, lists, states))
 
 
 def _prune_group(group: list) -> list:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -14,6 +15,7 @@ from morphplan.model import (
     DesignAlternative,
     MorphModel,
     OrdinalScale,
+    system_quality,
 )
 from morphplan.modeldoc import parse_model
 
@@ -77,6 +79,21 @@ def random_node_model(seed: int, max_children: int = 6, max_das: int = 6) -> Mor
                         pairs.append((a, b, value))
     default = rng.choice([0, 1, 4])
     return node_model(leaves, pairs, default=default)
+
+
+def admissible_by_product(node: Component, model: MorphModel) -> list:
+    """Reference for the admissible walk: every selection of one
+    alternative per leaf child, from ``itertools.product``, scored by
+    ``system_quality`` and kept when w >= 1. Each entry is
+    (picks, quality, picked alternatives)."""
+    children = [model.component(cid) for cid in node.children]
+    out = []
+    for das in product(*(child.das for child in children)):
+        picks = tuple((child.id, da.id) for child, da in zip(children, das))
+        quality = system_quality(dict(picks), node, model)
+        if quality.w >= 1:
+            out.append((picks, quality, das))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import re
 
+import pytest
+
 from morphplan.cli import run_command
 from morphplan.fixtures import fixture_path
 from morphplan.model import QualityVector
@@ -127,6 +129,32 @@ def test_synth_dot_draws_one_node_per_distinct_quality():
     assert edges
     for a, b in edges:
         assert quality[a].strictly_dominates(quality[b])
+
+
+def test_synth_dot_escapes_quotes_and_backslashes_in_labels(tmp_path):
+    doc = {
+        "morph_schema": 1,
+        "scale": {"l": 3, "nu": 4},
+        "root": "N",
+        "components": [
+            {"id": "A", "kind": "leaf",
+             "das": [{"id": 'a"1', "priority": 1}, {"id": "a\\2", "priority": 1}]},
+            {"id": "B", "kind": "leaf", "das": [{"id": "b1", "priority": 1}]},
+            {"id": "N", "kind": "composite", "children": ["A", "B"],
+             "compat": {"default": 3, "pairs": []}},
+        ],
+    }
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc))
+    result = run_command(["synth", str(path), "--algorithm", "brute", "--format", "dot"])
+    assert result.code == 0
+    assert '  n0 [label="a\\"1*b1\\na\\\\2*b1\\n(3;2,0,0)"];\n' in result.output
+
+
+@pytest.mark.parametrize("command", ["synth", "kernel", "report"])
+@pytest.mark.parametrize("layers", ["0", "-3"])
+def test_layers_below_one_is_a_usage_error(command, layers):
+    assert run_command([command, KRU, "--layers", layers]).code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +300,37 @@ def test_report_command_runs_everything():
     report = json.loads(result.output)
     assert report["frontiers"]["S"]["count"] == 24
     assert "kernel" in report and "aggregation" in report
+
+
+def json_of(*argv):
+    return json.loads(run_command([*argv, "--format", "json"]).output)
+
+
+@pytest.mark.parametrize("fixture", [ARK, KRU, REGION, MULTI])
+def test_report_sections_are_projections_of_the_single_commands(fixture):
+    report = json_of("report", fixture)
+    frontiers = report["frontiers"]
+    # bottlenecks: the nodes with a frontier, their layer-1 labels only,
+    # and four fields per action
+    fields = ("kind", "describe", "new_w", "new_e")
+    assert report["bottlenecks"] == {
+        node: {
+            label: [{key: act[key] for key in fields} for act in actions]
+            for label, actions in per_label.items()
+            if any(s["label"] == label and s["layer"] == 1 for s in frontiers[node]["solutions"])
+        }
+        for node, per_label in json_of("bottlenecks", fixture)["bottlenecks"].items()
+        if not frontiers[node]["infeasible"]
+    }
+    assert report.get("kernel") == json_of("kernel", fixture).get("kernel")
+    aggregate = run_command(["aggregate", fixture, "--format", "json"])
+    if aggregate.code == 2:
+        assert "aggregation" not in report
+    else:
+        assert report["aggregation"] == [
+            {key: value for key, value in entry.items() if key != "alternatives"}
+            for entry in json.loads(aggregate.output)["aggregation"]
+        ]
 
 
 # ---------------------------------------------------------------------------

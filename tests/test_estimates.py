@@ -19,7 +19,7 @@ from morphplan.estimates import (
     uplus,
 )
 from morphplan.model import InvalidComparisonError, SolutionError
-from tests.conftest import node_model
+from tests.conftest import admissible_by_product, node_model
 
 EXPECTED_SCALE_3_4 = [
     (4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1), (1, 3, 0), (1, 2, 1),
@@ -289,6 +289,19 @@ def test_estimate_synthesis_reference_selections(arkticheskoe_multiset):
     wm2 = frontier.find({"E": "E6", "F": "F6", "G": "G3", "J": "J6", "I": "I3"})
     assert wm2 is not None
     assert (wm2.quality.w, wm2.quality.e, wm2.deviation) == (3, (3, 1, 0), 3)
+
+
+def test_estimate_synthesis_matches_product_oracle(arkticheskoe_multiset):
+    m = arkticheskoe_multiset.model
+    node = m.component("W")
+    expected = set()
+    for picks, quality, das in admissible_by_product(node, m):
+        median = generalized_median([da.estimate for da in das])
+        expected.add((picks, quality.w, median.best, median.deviation))
+    frontier = multiset_synthesize(node, m)
+    got = [(s.picks, s.quality.w, s.quality.e, s.deviation) for s in frontier.solutions]
+    assert len(got) == len(expected)
+    assert set(got) == expected
 
 
 def test_identical_estimates_give_zero_deviation():

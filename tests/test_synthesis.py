@@ -6,11 +6,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphplan.fixtures import fixture_text
 from morphplan.model import (
+    CompatibilityTable,
+    Component,
     CompositeSolution,
+    DesignAlternative,
     InfeasibleNodeError,
+    MorphModel,
+    OrdinalScale,
     QualityVector,
     n_dominates,
 )
@@ -21,7 +28,7 @@ from morphplan.synthesis import (
     pareto_filter,
     synthesize_dp,
 )
-from tests.conftest import node_model, random_node_model
+from tests.conftest import admissible_by_product, node_model, random_node_model
 
 
 def sol(w, e, label="s", node="N"):
@@ -63,6 +70,25 @@ def test_empty_child_is_infeasible():
     broken = model.__class__(scale=model.scale, root="N", components=comps)
     with pytest.raises(InfeasibleNodeError):
         enumerate_admissible(broken.component("N"), broken)
+
+
+def assert_enumeration_matches_product_oracle(node, model):
+    sols = enumerate_admissible(node, model)
+    got = [(s.picks, s.quality) for s in sols]
+    assert len(got) == len(set(got))
+    assert set(got) == {(picks, q) for picks, q, _ in admissible_by_product(node, model)}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_enumeration_matches_product_oracle_on_random_instances(seed):
+    model = random_node_model(seed)
+    assert_enumeration_matches_product_oracle(model.component("N"), model)
+
+
+@pytest.mark.parametrize("node", ["W", "D"])
+def test_enumeration_matches_product_oracle_on_arkticheskoe(arkticheskoe, node):
+    m = arkticheskoe.model
+    assert_enumeration_matches_product_oracle(m.component(node), m)
 
 
 def test_region_selection_counts(yamal_region):
@@ -271,3 +297,52 @@ def test_tree_layer_one_agrees_across_algorithms_without_overrides(seed):
             assert picks_set(dp.frontiers[node_id].layer(1)) == picks_set(
                 frontier.layer(1)
             ), (seed, node_id)
+
+
+@st.composite
+def two_level_trees(draw):
+    """A root over two or three composites, each over one to three
+    leaves; every composite lists a random share of its pairs. No
+    priority overrides."""
+    comps: dict[str, Component] = {}
+    parts = []
+    for p in range(draw(st.integers(2, 3))):
+        part = f"P{p}"
+        ids = []
+        for i in range(draw(st.integers(1, 3))):
+            cid = f"{part}L{i}"
+            das = tuple(
+                DesignAlternative(id=f"{cid}x{j}", priority=draw(st.integers(1, 3)))
+                for j in range(draw(st.integers(1, 3)))
+            )
+            comps[cid] = Component(id=cid, das=das)
+            ids.append([da.id for da in das])
+        pairs = [
+            (a, b, draw(st.integers(0, 4)))
+            for x in range(len(ids))
+            for y in range(x + 1, len(ids))
+            for a in ids[x]
+            for b in ids[y]
+            if draw(st.booleans())
+        ]
+        table = CompatibilityTable.from_pairs(pairs, default=draw(st.integers(0, 4)))
+        children = tuple(f"{part}L{i}" for i in range(len(ids)))
+        comps[part] = Component(id=part, children=children, compat=table)
+        parts.append(part)
+    root_default = draw(st.one_of(st.none(), st.integers(0, 4)))
+    root_table = None if root_default is None else CompatibilityTable(default=root_default)
+    comps["R"] = Component(id="R", children=tuple(parts), compat=root_table)
+    return MorphModel(scale=OrdinalScale(3, 4), root="R", components=comps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(two_level_trees())
+def test_root_layer_one_agrees_across_algorithms_on_random_trees(tree):
+    for max_layers in (None, 1, 2):
+        brute = hierarchical_synthesize(tree, algorithm="brute", max_layers=max_layers)
+        dp = hierarchical_synthesize(tree, algorithm="dp", max_layers=max_layers)
+        assert ("R" in brute.frontiers) == ("R" in dp.frontiers), max_layers
+        if "R" in brute.frontiers:
+            assert picks_set(dp.frontiers["R"].layer(1)) == picks_set(
+                brute.frontiers["R"].layer(1)
+            ), max_layers
