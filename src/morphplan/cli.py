@@ -29,7 +29,7 @@ from .generator import generate_document
 from .knapsack import extend_kernel
 from .model import CompositeSolution, MorphError, MorphModel, QualityVector, system_quality
 from .modeldoc import DocumentError, ExpectedSolution, KnapsackSection, ModelDocument
-from .modeldoc import canonical_json, model_digest, parse_model_file
+from .modeldoc import canonical_json, model_digest, number_out, parse_model_file
 from .reporting import estimate_scale_dot, frontier_dot, render_json, render_text
 from .synthesis import Frontier, SynthesisOutcome, hierarchical_synthesize
 
@@ -368,19 +368,19 @@ def _aggregation_section(knapsack: KnapsackSection, budget, method: str) -> list
     entries = []
     for b in budgets:
         plan = extend_kernel(knapsack.kernel, knapsack.instance(b), method=method)
-        entry = {"budget": _num_out(b), "method": method, "feasible": plan.feasible}
+        entry = {"budget": number_out(b), "method": method, "feasible": plan.feasible}
         if plan.feasible:
             entry.update(
                 {
                     "picks": plan.picks_map(),
                     "plan": plan.label,
-                    "total_cost": _num_out(plan.total_cost),
-                    "total_profit": _num_out(plan.total_profit),
+                    "total_cost": number_out(plan.total_cost),
+                    "total_profit": number_out(plan.total_profit),
                     "alternatives": [
                         {
                             "items": list(alt.item_ids()),
-                            "cost": _num_out(alt.total_cost),
-                            "profit": _num_out(alt.total_profit),
+                            "cost": number_out(alt.total_cost),
+                            "profit": number_out(alt.total_profit),
                         }
                         for alt in plan.alternatives
                     ],
@@ -398,12 +398,6 @@ def _finish(report: dict, args, code: int, dot: str | None = None) -> CommandRes
     else:
         output = render_text(report)
     return CommandResult(report=report, output=output, code=code)
-
-
-def _num_out(value):
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else float(value)
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .model import (
     MorphModel,
     QualityVector,
     SolutionError,
+    check_counts,
     cumulative,
 )
 from .synthesis import (
@@ -132,14 +133,22 @@ def proximity(a: Estimate, b: Estimate) -> Proximity:
     negative cumulative differences are the unique minimal
     decomposition into pure promotions and pure demotions.
     """
-    if len(a) != len(b):
-        raise InvalidComparisonError(f"estimates differ in length: {len(a)} vs {len(b)}")
-    if sum(a) != sum(b):
-        raise InvalidComparisonError(f"estimates differ in total: {sum(a)} vs {sum(b)}")
-    ca, cb = cumulative(a), cumulative(b)
-    improvements = sum(max(0, y - x) for x, y in zip(ca[:-1], cb[:-1]))
-    degradations = sum(max(0, x - y) for x, y in zip(ca[:-1], cb[:-1]))
+    check_counts((a, b))
+    improvements, degradations = _edits(cumulative(a), cumulative(b))
     return Proximity(improvements=improvements, degradations=degradations)
+
+
+def _edits(ca: Sequence[int], cb: Sequence[int]) -> tuple[int, int]:
+    """(promotions, demotions) from the estimate with prefix sums ``ca``
+    to the one with ``cb``. The shapes must already agree, so the last
+    prefix sums are equal and add nothing."""
+    up = down = 0
+    for x, y in zip(ca, cb):
+        if y > x:
+            up += y - x
+        else:
+            down += x - y
+    return up, down
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +171,6 @@ class MedianResult:
 
 def generalized_median(
     observed: Sequence[Estimate],
-    levels: int | None = None,
-    eta: int | None = None,
     enforce_gap_rule: bool = True,
     metric: str = "max",
 ) -> MedianResult:
@@ -180,27 +187,19 @@ def generalized_median(
         raise ValueError("median of an empty observation set")
     if metric not in ("max", "sum"):
         raise ValueError(f"unknown metric {metric!r}")
-    width = len(observed[0])
-    total = sum(observed[0])
-    for est in observed:
-        if len(est) != width or sum(est) != total:
-            raise InvalidComparisonError("observed estimates must share shape and total")
-    if levels is None:
-        levels = width
-    elif levels != width:
-        raise InvalidComparisonError(f"estimates have {width} levels, expected {levels}")
-    if eta is None:
-        eta = total
-    elif eta != total:
-        raise InvalidComparisonError(f"estimates have total {total}, expected {eta}")
+    check_counts(observed)
+    levels, eta = len(observed[0]), sum(observed[0])
+    observed_sums = [cumulative(est) for est in observed]
+    by_max = metric == "max"
 
     best: list[Estimate] = []
     best_total: int | None = None
     for candidate in enumerate_estimates(levels, eta, enforce_gap_rule):
+        sums = cumulative(candidate)
         t = 0
-        for est in observed:
-            prox = proximity(candidate, est)
-            t += prox.magnitude if metric == "max" else prox.total
+        for other in observed_sums:
+            up, down = _edits(sums, other)
+            t += max(up, down) if by_max else up + down
         if best_total is None or t < best_total:
             best_total = t
             best = [candidate]
@@ -231,26 +230,19 @@ def multiset_synthesize(
     equal consensus counts, and no larger deviation.
     """
     lists = _child_candidates(node, model, candidates)
-    shape: tuple[int, int] | None = None
     for child_id, cands in lists:
         for cand in cands:
             if cand.estimate is None:
                 raise SolutionError(
                     f"alternative {cand.id!r} of child {child_id!r} carries no estimate"
                 )
-            cur = (len(cand.estimate), sum(cand.estimate))
-            if shape is None:
-                shape = cur
-            elif cur != shape:
-                raise InvalidComparisonError(
-                    f"estimate of {cand.id!r} has shape {cur}, expected {shape}"
-                )
+    check_counts(cand.estimate for _, cands in lists for cand in cands)
 
     solutions = []
     for picks, w, _ in _admissible_states(node, model, lists):
         chosen = [cands[a] for (_, cands), a in zip(lists, picks)]
         median = generalized_median(
-            [c.estimate for c in chosen if c.estimate is not None],
+            [c.estimate for c in chosen],
             enforce_gap_rule=enforce_gap_rule,
             metric=metric,
         )

@@ -94,9 +94,6 @@ class Selection:
     def infeasible(cls) -> "Selection":
         return cls(chosen=(), total_cost=0, total_profit=0, feasible=False)
 
-    def by_group(self) -> dict[str, ChoiceItem]:
-        return {item.group: item for item in self.chosen}
-
     def item_ids(self) -> tuple[str, ...]:
         return tuple(item.id for item in self.chosen)
 
@@ -113,15 +110,11 @@ def _ratio_key(item: ChoiceItem):
     return (1, -Fraction(item.profit) / Fraction(item.cost))
 
 
-def default_tie_break(item: ChoiceItem):
-    return (-item.profit, item.cost, item.id)
-
-
-def greedy_mckp(instance: KnapsackInstance, tie_break=default_tie_break) -> Selection:
+def greedy_mckp(instance: KnapsackInstance) -> Selection:
     """Ratio-ordered greedy pass with a feasibility reserve.
 
     Items are considered by descending profit/cost ratio (ties broken
-    by ``tie_break``: default higher profit, lower cost, id order). An
+    by higher profit, then lower cost, then id order). An
     item is taken only if the remaining budget still covers the
     cheapest item of every other unfilled group, so the pass fills
     every group whenever that is possible at all.
@@ -130,7 +123,7 @@ def greedy_mckp(instance: KnapsackInstance, tie_break=default_tie_break) -> Sele
         return Selection.infeasible()
     order = sorted(
         (item for group in instance.groups for item in group),
-        key=lambda it: (_ratio_key(it), tie_break(it)),
+        key=lambda it: (_ratio_key(it), -it.profit, it.cost, it.id),
     )
     min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
     unfilled = set(min_cost)
@@ -197,23 +190,23 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
     if optimum is None:
         return ()
 
-    # Walk back every argmax path; each optimal selection appears once.
+    # Walk back every argmax path with an explicit stack, so that many
+    # groups cannot exhaust the recursion limit. A path is fixed by its
+    # items, so each optimal selection is found once.
     selections: list[tuple[ChoiceItem, ...]] = []
-
-    def walk(g: int, c: int, suffix: tuple[ChoiceItem, ...]) -> None:
+    stack: list[tuple[int, int, tuple[ChoiceItem, ...]]] = [(n - 1, budget, ())]
+    while stack:
+        g, c, suffix = stack.pop()
         if g < 0:
             selections.append(suffix)
-            return
+            continue
         target = best[g + 1][c]
         for item, cost in zip(instance.groups[g], costs[g]):
             if cost <= c and best[g][c - cost] is not None:
                 if best[g][c - cost] + item.profit == target:
-                    walk(g - 1, c - cost, (item,) + suffix)
-
-    walk(n - 1, budget, ())
-    unique = {tuple(it.id for it in sel): sel for sel in selections}
-    ordered = sorted(unique.values(), key=lambda sel: tuple(it.id for it in sel))
-    return tuple(Selection.of(sel) for sel in ordered)
+                    stack.append((g - 1, c - cost, (item,) + suffix))
+    selections.sort(key=lambda sel: tuple(it.id for it in sel))
+    return tuple(Selection.of(sel) for sel in selections)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,6 @@ class AggregatedPlan:
     total_cost: Number
     total_profit: Number
     feasible: bool
-    selection: Selection | None = None
     alternatives: tuple[Selection, ...] = ()
 
     def picks_map(self) -> dict[str, str]:
@@ -274,7 +266,6 @@ def extend_kernel(
             total_cost=0,
             total_profit=0,
             feasible=False,
-            selection=selection,
         )
     picks = dict(kernel)
     for item in selection.chosen:
@@ -284,6 +275,5 @@ def extend_kernel(
         total_cost=selection.total_cost,
         total_profit=selection.total_profit,
         feasible=True,
-        selection=selection,
         alternatives=alternatives,
     )

@@ -59,6 +59,23 @@ def cumulative(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_counts(counts: Iterable[Sequence[int]]) -> None:
+    """Count vectors are comparable only at one length and one total."""
+    shape: tuple[int, int] | None = None
+    for e in counts:
+        cur = (len(e), sum(e))
+        if shape is None:
+            shape = cur
+        elif cur[0] != shape[0]:
+            raise InvalidComparisonError(
+                f"count vectors differ in length: {shape[0]} vs {cur[0]}"
+            )
+        elif cur[1] != shape[1]:
+            raise InvalidComparisonError(
+                f"count vectors differ in total: {shape[1]} vs {cur[1]}"
+            )
+
+
 def e_dominates(e1: Sequence[int], e2: Sequence[int]) -> bool:
     """Whether count vector ``e1`` is at least as good as ``e2``.
 
@@ -69,14 +86,7 @@ def e_dominates(e1: Sequence[int], e2: Sequence[int]) -> bool:
     one counted pick from level i to level i+1 lowers one prefix by 1.
     Reflexive by construction.
     """
-    if len(e1) != len(e2):
-        raise InvalidComparisonError(
-            f"count vectors differ in length: {len(e1)} vs {len(e2)}"
-        )
-    if sum(e1) != sum(e2):
-        raise InvalidComparisonError(
-            f"count vectors differ in total: {sum(e1)} vs {sum(e2)}"
-        )
+    check_counts((e1, e2))
     c1, c2 = cumulative(e1), cumulative(e2)
     return all(a >= b for a, b in zip(c1, c2))
 
@@ -91,9 +101,6 @@ class QualityVector:
 
     w: int
     e: tuple[int, ...]
-
-    def dominates(self, other: "QualityVector") -> bool:
-        return n_dominates(self, other)
 
     def strictly_dominates(self, other: "QualityVector") -> bool:
         return self != other and n_dominates(self, other)
@@ -192,9 +199,6 @@ class Component:
                 return da
         raise SolutionError(f"component {self.id} has no alternative {da_id!r}")
 
-    def da_ids(self) -> tuple[str, ...]:
-        return tuple(da.id for da in self.das)
-
 
 @dataclass(frozen=True)
 class MorphModel:
@@ -218,19 +222,21 @@ class MorphModel:
         return node.compat.value(a, b)
 
     def postorder(self) -> Iterator[Component]:
-        """Components in bottom-up order starting from the root."""
+        """Components in bottom-up order starting from the root: each
+        child's subtree in child order, then the component itself. An
+        explicit stack, so that a deep tree cannot exhaust the
+        interpreter's recursion limit."""
         seen: set[str] = set()
-
-        def walk(cid: str) -> Iterator[Component]:
-            if cid in seen or cid not in self.components:
-                return
-            seen.add(cid)
-            comp = self.components[cid]
-            for child in comp.children:
-                yield from walk(child)
-            yield comp
-
-        yield from walk(self.root)
+        stack: list[tuple[str, bool]] = [(self.root, False)]
+        while stack:
+            cid, expanded = stack.pop()
+            if expanded:
+                yield self.components[cid]
+            elif cid not in seen and cid in self.components:
+                seen.add(cid)
+                stack.append((cid, True))
+                children = self.components[cid].children
+                stack.extend((child, False) for child in reversed(children))
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,8 @@ def parse_model(text: str) -> ModelDocument:
         raise DocumentError(
             [f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from None
+    except RecursionError:
+        raise DocumentError(["malformed JSON: arrays or objects nest too deeply"]) from None
     return document_from_dict(raw)
 
 
@@ -209,7 +211,7 @@ def document_from_dict(raw) -> ModelDocument:
         knapsack = _parse_knapsack(top["knapsack"], "$.knapsack")
     options = DocumentOptions()
     if "options" in top:
-        options = _parse_options(top["options"], "$.options", scale)
+        options = _parse_options(top["options"], "$.options", model)
     return ModelDocument(model=model, knapsack=knapsack, options=options)
 
 
@@ -336,7 +338,7 @@ def _parse_knapsack(raw, path: str) -> KnapsackSection:
     return KnapsackSection(kernel=kernel, groups=tuple(groups), budgets=budgets)
 
 
-def _parse_options(raw, path: str, scale: OrdinalScale) -> DocumentOptions:
+def _parse_options(raw, path: str, model: MorphModel) -> DocumentOptions:
     obj = _obj(raw, path, required=set(), optional={"name", "notes", "expected"})
     name = _str(obj["name"], f"{path}.name") if "name" in obj else None
     notes = tuple(
@@ -361,15 +363,17 @@ def _parse_options(raw, path: str, scale: OrdinalScale) -> DocumentOptions:
             _int(c, f"{epath}.quality.e[{k}]")
             for k, c in enumerate(_list(qobj["e"], f"{epath}.quality.e"))
         )
-        if len(e) != scale.levels:
-            raise DocumentError([f"{epath}.quality.e: expected {scale.levels} levels"])
+        if len(e) != model.scale.levels:
+            raise DocumentError([f"{epath}.quality.e: expected {model.scale.levels} levels"])
         kind = eobj.get("kind", "ordinal")
         if kind not in ("ordinal", "median"):
             raise DocumentError([f"{epath}.kind: expected ordinal|median, got {kind!r}"])
+        node = _str(eobj["node"], f"{epath}.node")
+        _check_picks(model, node, picks, epath)
         expected.append(
             ExpectedSolution(
                 name=_str(eobj["name"], f"{epath}.name"),
-                node=_str(eobj["node"], f"{epath}.node"),
+                node=node,
                 picks=picks,
                 w=_int(qobj["w"], f"{epath}.quality.w"),
                 e=e,
@@ -380,12 +384,31 @@ def _parse_options(raw, path: str, scale: OrdinalScale) -> DocumentOptions:
     return DocumentOptions(name=name, notes=notes, expected=tuple(expected))
 
 
+def _check_picks(model: MorphModel, node: str, picks: Mapping[str, str], path: str) -> None:
+    """An expected entry names a composite node and one alternative of
+    each of its children."""
+    comp = model.components.get(node)
+    if comp is None or comp.is_leaf:
+        raise DocumentError([f"{path}: {node!r} is not a composite component"])
+    if set(picks) != set(comp.children):
+        raise DocumentError(
+            [f"{path}.picks: expected picks for {sorted(comp.children)}, got {sorted(picks)}"]
+        )
+    for child_id, pick in picks.items():
+        if pick not in {da.id for da in model.components[child_id].das}:
+            raise DocumentError(
+                [f"{path}.picks[{child_id}]: component {child_id} has no alternative {pick!r}"]
+            )
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
 
-def _number_out(value):
+def number_out(value):
+    """A parsed number in JSON form: a whole Fraction as an int, any
+    other Fraction as a float."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -415,15 +438,15 @@ def document_to_dict(doc: ModelDocument) -> dict:
                     "items": [
                         {
                             "id": item.id,
-                            "cost": _number_out(item.cost),
-                            "profit": _number_out(item.profit),
+                            "cost": number_out(item.cost),
+                            "profit": number_out(item.profit),
                         }
                         for item in group
                     ],
                 }
                 for group in ks.groups
             ],
-            "budgets": [_number_out(b) for b in ks.budgets],
+            "budgets": [number_out(b) for b in ks.budgets],
         }
     opts = doc.options
     if opts.name or opts.notes or opts.expected:

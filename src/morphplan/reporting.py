@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .model import CompositeSolution, QualityVector, cumulative
+from .model import CompositeSolution, QualityVector, check_counts, cumulative
 from .modeldoc import canonical_json
-from .synthesis import Frontier, QualityKey, _check_counts, _dominates, quality_key
+from .synthesis import Frontier, QualityKey, _dominates, quality_key
 
 
 def render_json(report: dict) -> str:
@@ -145,7 +145,7 @@ def _dot_escape(text: str) -> str:
 
 def estimate_scale_dot(estimates: Sequence[tuple[int, ...]]) -> str:
     """The dominance poset of an estimate scale, best at the top."""
-    _check_counts(estimates)
+    check_counts(estimates)
     edges = cover_edges([cumulative(est) for est in estimates])
     lines = ["digraph estimates {", "  rankdir=TB;", '  node [shape=oval, fontsize=10];']
     for i, est in enumerate(estimates):

@@ -17,10 +17,10 @@ from .model import (
     Component,
     CompositeSolution,
     InfeasibleNodeError,
-    InvalidComparisonError,
     MorphModel,
     QualityVector,
     SolutionError,
+    check_counts,
     cumulative,
 )
 
@@ -50,10 +50,6 @@ class Frontier:
 
     def layer(self, k: int) -> tuple[CompositeSolution, ...]:
         return tuple(s for s, l in zip(self.solutions, self.layers) if l == k)
-
-    @property
-    def max_layer(self) -> int:
-        return max(self.layers, default=0)
 
     def find(self, picks: Mapping[str, str]) -> CompositeSolution | None:
         want = dict(picks)
@@ -223,23 +219,6 @@ def _dominates(a: QualityKey, b: QualityKey) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
-def _check_counts(counts: Iterable[Sequence[int]]) -> None:
-    """Count vectors are comparable only at one length and one total."""
-    shape: tuple[int, int] | None = None
-    for e in counts:
-        cur = (len(e), sum(e))
-        if shape is None:
-            shape = cur
-        elif cur[0] != shape[0]:
-            raise InvalidComparisonError(
-                f"count vectors differ in length: {shape[0]} vs {cur[0]}"
-            )
-        elif cur[1] != shape[1]:
-            raise InvalidComparisonError(
-                f"count vectors differ in total: {shape[1]} vs {cur[1]}"
-            )
-
-
 def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
     """Dominance layer of each distinct key: one more than the deepest
     layer among the keys that strictly beat it.
@@ -280,7 +259,7 @@ def peel_layers(
         q = (sol.quality, sol.deviation)
         if q not in keys:
             keys[q] = key(sol)
-    _check_counts(q.e for q, _ in keys)
+    check_counts(q.e for q, _ in keys)
     layer_of = _key_layers(keys.values())
     return tuple(ordered), tuple(
         layer_of[keys[(s.quality, s.deviation)]] for s in ordered
@@ -326,20 +305,22 @@ def synthesize_dp(
     lists = _child_candidates(node, model, candidates)
     n = len(lists)
 
-    # linked[i][j]: the table names some pair between children i and j,
-    # so the pick at i matters while j is still open. Default-valued
-    # pairs are pick-independent and never pin a position.
-    owner: dict[str, int] = {}
+    # linked[i][j]: the table names some pair between a candidate of
+    # child i and one of child j, so the pick at i matters while j is
+    # still open. Two children may offer the same id, and each of them
+    # is linked. Default-valued pairs are pick-independent and never
+    # pin a position.
+    owners: dict[str, set[int]] = {}
     for idx, (_, cands) in enumerate(lists):
         for cand in cands:
-            owner[cand.id] = idx
+            owners.setdefault(cand.id, set()).add(idx)
     linked = [[False] * n for _ in range(n)]
     if node.compat is not None:
         for a, b in node.compat.entries:
-            ia, ib = owner.get(a), owner.get(b)
-            if ia is None or ib is None or ia == ib:
-                continue
-            linked[ia][ib] = linked[ib][ia] = True
+            for ia in owners.get(a, ()):
+                for ib in owners.get(b, ()):
+                    if ia != ib:
+                        linked[ia][ib] = linked[ib][ia] = True
 
     states = _admissible_states(node, model, lists, linked)
     return pareto_filter(_solutions(node, lists, states))
@@ -376,10 +357,6 @@ class SynthesisOutcome:
 
     frontiers: dict[str, Frontier] = field(default_factory=dict)
     infeasible: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.infeasible
 
 
 def leaf_frontier(component: Component, model: MorphModel) -> Frontier:

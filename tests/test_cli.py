@@ -8,7 +8,7 @@ import re
 import pytest
 
 from morphplan.cli import run_command
-from morphplan.fixtures import fixture_path
+from morphplan.fixtures import fixture_path, fixture_text
 from morphplan.model import QualityVector
 from morphplan.reporting import estimate_scale_dot, frontier_dot
 from morphplan.synthesis import pareto_filter
@@ -194,6 +194,60 @@ def test_missing_model_file_is_a_usage_error():
     assert run_command(["synth", "/no/such/file.json"]).code == 2
 
 
+def broken_expected(change):
+    """arkticheskoe with its first expected entry (D1 @ D, picks P and
+    Q) edited by ``change``."""
+    doc = json.loads(fixture_text("arkticheskoe"))
+    change(doc["options"]["expected"][0])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda e: e.update(node="NOPE"), "'NOPE' is not a composite component"),
+        (lambda e: e.update(node="P"), "'P' is not a composite component"),
+        (lambda e: e["picks"].pop("Q"), "expected picks for ['P', 'Q'], got ['P']"),
+        (lambda e: e["picks"].update(P="NOPE"), "component P has no alternative 'NOPE'"),
+    ],
+    ids=["unknown-node", "leaf-node", "missing-child", "unknown-alternative"],
+)
+@pytest.mark.parametrize("command", ["validate", "kernel", "synth"])
+def test_expected_entries_are_checked_at_parse_time(tmp_path, change, message, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(broken_expected(change)))
+    result = run_command([command, str(path)])
+    assert result.code == 2
+    assert "$.options.expected[0]" in result.output
+    assert message in result.output
+
+
+def test_deeply_nested_document_is_a_usage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    result = run_command(["validate", str(path)])
+    assert result.code == 2
+    assert "nest too deeply" in result.output
+
+
+def test_deep_chain_of_composites_validates_and_synthesizes(tmp_path):
+    depth = 3000
+    components = [{"id": "L", "kind": "leaf", "das": [{"id": "x", "priority": 1}]}]
+    components += [
+        {"id": f"K{k}", "kind": "composite", "children": [f"K{k - 1}" if k else "L"]}
+        for k in range(depth)
+    ]
+    doc = {"morph_schema": 1, "scale": {"l": 3, "nu": 4}, "root": f"K{depth - 1}", "components": components}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]).code == 0
+    result = run_command(["synth", str(path), "--format", "json"])
+    assert result.code == 0
+    frontiers = json.loads(result.output)["frontiers"]
+    assert len(frontiers) == depth
+    assert [s["label"] for s in frontiers[f"K{depth - 1}"]["solutions"]] == ["x"]
+
+
 # ---------------------------------------------------------------------------
 # bottlenecks
 # ---------------------------------------------------------------------------
@@ -268,6 +322,32 @@ def test_aggregate_all_catalogue_budgets_exact():
 def test_aggregate_infeasible_budget_exits_one():
     result = run_command(["aggregate", REGION, "--budget", "2"])
     assert result.code == 1
+
+
+def test_aggregate_exact_walks_back_many_groups(tmp_path):
+    groups = 1500
+    doc = json.loads(fixture_text("yamal_region"))
+    doc["knapsack"] = {
+        "groups": [
+            {
+                "id": f"G{g}",
+                "items": [
+                    {"id": f"G{g}a", "cost": 0, "profit": 1},
+                    {"id": f"G{g}b", "cost": 0, "profit": 2},
+                ],
+            }
+            for g in range(groups)
+        ],
+        "budgets": [0],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    result = run_command(["aggregate", str(path), "--method", "exact", "--format", "json"])
+    assert result.code == 0
+    entry = json.loads(result.output)["aggregation"][0]
+    assert entry["total_profit"] == 2 * groups
+    assert entry["alternatives"] == []
+    assert all(entry["picks"][f"G{g}"] == f"G{g}b" for g in range(groups))
 
 
 def test_kernel_command_reports_agreement():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphplan.estimates import _median_key
+from morphplan.estimates import _median_key, generalized_median, multiset_synthesize
 from morphplan.model import (
     CompositeSolution,
     InvalidComparisonError,
@@ -19,6 +19,7 @@ from morphplan.model import (
 )
 from morphplan.reporting import cover_edges
 from morphplan.synthesis import _prune_group, pareto_filter, peel_layers
+from tests.conftest import node_model
 
 # Fixed examples, so a run is reproducible; no example database on disk.
 kernel_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -159,4 +160,17 @@ def test_mixed_shape_counts_raise(solutions, change, where):
     solutions.insert(where % (len(solutions) + 1), sol("odd", 1, odd))
     with pytest.raises(InvalidComparisonError):
         pareto_filter(solutions)
+    estimates = [s.quality.e for s in solutions]
+    with pytest.raises(InvalidComparisonError):
+        generalized_median(estimates)
+    # One child offering every vector as an estimate.
+    ids = [f"a{i}" for i in range(len(estimates))]
+    model = node_model(
+        {"A": [(i, 1) for i in ids]},
+        None,
+        levels=max(len(e) for e in estimates),
+        estimates=dict(zip(ids, estimates)),
+    )
+    with pytest.raises(InvalidComparisonError):
+        multiset_synthesize(model.component("N"), model)
 

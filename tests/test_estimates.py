@@ -64,8 +64,9 @@ def bfs_distance(a, b):
     raise AssertionError("move graph is connected; unreachable")
 
 
-def oracle_median(observed, levels, eta, enforce_gap_rule=True):
-    """Naive consensus scan built on the BFS oracle, not on proximity."""
+def oracle_median(observed, levels, eta, enforce_gap_rule=True, metric="max"):
+    """Naive consensus scan built on the BFS oracle, not on proximity:
+    the ``sum`` metric is the BFS distance itself."""
     best, best_total = [], None
     for cand in enumerate_estimates(levels, eta, enforce_gap_rule):
         # magnitude = max of the signed split; recover the split from
@@ -80,7 +81,7 @@ def oracle_median(observed, levels, eta, enforce_gap_rule=True):
             # d = improvements + degradations, net = degradations - improvements
             deg = (d + net) // 2
             impr = (d - net) // 2
-            total += max(impr, deg)
+            total += max(impr, deg) if metric == "max" else d
         if best_total is None or total < best_total:
             best, best_total = [cand], total
         elif total == best_total:
@@ -248,10 +249,11 @@ def test_consensus_matches_oracle_on_random_observations(seed):
     domain = all_estimates(levels, eta)
     observed = [domain[rng.randrange(len(domain))] for _ in range(rng.randint(1, 6))]
     enforce = rng.random() < 0.5
-    result = generalized_median(observed, enforce_gap_rule=enforce)
-    ests, total = oracle_median(observed, levels, eta, enforce)
-    assert list(result.estimates) == ests
-    assert result.deviation == total
+    for metric in ("max", "sum"):
+        result = generalized_median(observed, enforce_gap_rule=enforce, metric=metric)
+        ests, total = oracle_median(observed, levels, eta, enforce, metric)
+        assert list(result.estimates) == ests, metric
+        assert result.deviation == total, metric
 
 
 def test_widened_domain_can_only_improve():

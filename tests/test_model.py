@@ -208,6 +208,24 @@ def test_w_never_increases_when_a_child_is_added():
 # ---------------------------------------------------------------------------
 
 
+def test_postorder_visits_children_first_in_child_order(arkticheskoe, kruzensternskoe, yamal_region):
+    def walk(model, cid):
+        for child in model.components[cid].children:
+            yield from walk(model, child)
+        yield cid
+
+    for doc in (arkticheskoe, kruzensternskoe, yamal_region):
+        model = doc.model
+        assert [c.id for c in model.postorder()] == list(walk(model, model.root))
+    # Deeper than the recursion limit.
+    depth = 3000
+    comps = {"L": Component(id="L", das=(DesignAlternative(id="x", priority=1),))}
+    for k in range(depth):
+        comps[f"K{k}"] = Component(id=f"K{k}", children=(f"K{k - 1}" if k else "L",))
+    chain = MorphModel(scale=OrdinalScale(3, 4), root=f"K{depth - 1}", components=comps)
+    assert [c.id for c in chain.postorder()] == ["L", *(f"K{k}" for k in range(depth))]
+
+
 def test_bundled_fixtures_validate(arkticheskoe, kruzensternskoe, yamal_region, arkticheskoe_multiset):
     for doc in (arkticheskoe, kruzensternskoe, yamal_region, arkticheskoe_multiset):
         assert validate_model(doc.model).ok

@@ -346,3 +346,46 @@ def test_root_layer_one_agrees_across_algorithms_on_random_trees(tree):
             assert picks_set(dp.frontiers["R"].layer(1)) == picks_set(
                 brute.frontiers["R"].layer(1)
             ), max_layers
+
+
+def shared_id_document(nested: bool) -> str:
+    """S over A, B, C where A and B both offer an alternative ``x`` and
+    the table lists only [x, c1]. With ``nested``, B is a single-child
+    composite over L1, so B's synthesized label ``x`` collides with A's."""
+    second = [{"id": "x", "priority": 2}, {"id": "b2", "priority": 2}]
+    if nested:
+        middle = [
+            {"id": "L1", "kind": "leaf", "das": second},
+            {"id": "B", "kind": "composite", "children": ["L1"]},
+        ]
+    else:
+        middle = [{"id": "B", "kind": "leaf", "das": second}]
+    return json.dumps(
+        {
+            "morph_schema": 1,
+            "scale": {"l": 3, "nu": 4},
+            "root": "S",
+            "components": [
+                {"id": "A", "kind": "leaf", "das": [{"id": "x", "priority": 1}, {"id": "a2", "priority": 2}]},
+                *middle,
+                {"id": "C", "kind": "leaf", "das": [{"id": "c1", "priority": 1}]},
+                {
+                    "id": "S",
+                    "kind": "composite",
+                    "children": ["A", "B", "C"],
+                    "compat": {"default": 4, "pairs": [["x", "c1", 1]]},
+                },
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("max_layers", [None, 1])
+def test_fold_links_every_child_that_offers_a_listed_id(nested, max_layers):
+    model = parse_model(shared_id_document(nested)).model
+    brute = hierarchical_synthesize(model, algorithm="brute", max_layers=max_layers)
+    dp = hierarchical_synthesize(model, algorithm="dp", max_layers=max_layers)
+    layer_one = {s.label for s in dp.frontiers["S"].layer(1)}
+    assert layer_one == {"a2*b2*c1", "x*b2*c1", "x*x*c1"}
+    assert picks_set(dp.frontiers["S"].layer(1)) == picks_set(brute.frontiers["S"].layer(1))
