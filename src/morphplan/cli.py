@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 infeasibility, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +81,11 @@ def run_command(argv: Sequence[str]) -> CommandResult:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``morph`` parser, built on the first call and shared after it:
+    ``parse_args`` fills a fresh namespace on every call and every
+    default is immutable, so one parser serves any number of commands."""
     parser = argparse.ArgumentParser(prog="morph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

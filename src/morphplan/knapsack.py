@@ -127,15 +127,17 @@ def greedy_mckp(instance: KnapsackInstance) -> Selection:
     )
     min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
     unfilled = set(min_cost)
+    unfilled_min = sum(min_cost.values())  # exact: costs are int or Fraction
     chosen: dict[str, ChoiceItem] = {}
     remaining = instance.budget
     for item in order:
         if item.group not in unfilled:
             continue
-        reserve = sum(min_cost[g] for g in unfilled if g != item.group)
+        reserve = unfilled_min - min_cost[item.group]
         if item.cost + reserve <= remaining:
             chosen[item.group] = item
             unfilled.remove(item.group)
+            unfilled_min = reserve
             remaining -= item.cost
     if unfilled:
         return Selection.infeasible()

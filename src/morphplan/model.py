@@ -411,23 +411,25 @@ def _validate_table(model: MorphModel, comp: Component, bad, nu: int) -> None:
     assert table is not None
     if not 0 <= table.default <= nu:
         bad("compat-range", where, f"default {table.default} out of [0, {nu}]")
-    # Owner child of each referenced alternative id. Tables may only name
-    # alternatives of leaf children; composite children contribute
-    # synthesized candidates whose pairs always take the default.
-    owner: dict[str, str] = {}
+    # Owner children of each referenced alternative id; sibling leaves
+    # may share an id, and the fold applies a pair to every owner.
+    # Tables may only name alternatives of leaf children; composite
+    # children contribute synthesized candidates whose pairs always take
+    # the default.
+    owners: dict[str, set[str]] = {}
     for child_id in comp.children:
         child = model.components.get(child_id)
         if child is None:
             continue
         for da in child.das:
-            owner[da.id] = child_id
+            owners.setdefault(da.id, set()).add(child_id)
     for (a, b), value in table.entries.items():
         pwhere = f"{where}[{a},{b}]"
         if not 0 <= value <= nu:
             bad("compat-range", pwhere, f"value {value} out of [0, {nu}]")
-        oa, ob = owner.get(a), owner.get(b)
+        oa, ob = owners.get(a), owners.get(b)
         if oa is None or ob is None:
             missing = a if oa is None else b
             bad("compat-reference", pwhere, f"{missing!r} is not an alternative of any leaf child")
-        elif oa == ob:
-            bad("compat-intra-child", pwhere, f"both picks belong to child {oa!r}")
+        elif len(oa | ob) == 1:
+            bad("compat-intra-child", pwhere, f"both picks belong to child {min(oa)!r}")

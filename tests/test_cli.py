@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from morphplan.cli import run_command
+from morphplan.cli import build_parser, run_command
 from morphplan.fixtures import fixture_path, fixture_text
 from morphplan.model import QualityVector
 from morphplan.reporting import estimate_scale_dot, frontier_dot
@@ -155,6 +155,34 @@ def test_synth_dot_escapes_quotes_and_backslashes_in_labels(tmp_path):
 @pytest.mark.parametrize("layers", ["0", "-3"])
 def test_layers_below_one_is_a_usage_error(command, layers):
     assert run_command([command, KRU, "--layers", layers]).code == 2
+
+
+PARSER_SEQUENCE = [
+    ["synth", ARK, "--layers", "0", "--format", "json"],
+    ["synth", ARK, "--layers", "2", "--format", "json"],
+    ["synth", ARK, "--format", "json"],
+]
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_runs_like_fresh_parsers(capsys):
+    shared = []
+    for argv in PARSER_SEQUENCE:
+        result = run_command(argv)
+        shared.append((result.code, result.output, capsys.readouterr()))
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        build_parser.cache_clear()
+        result = run_command(argv)
+        fresh.append((result.code, result.output, capsys.readouterr()))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "--layers" in shared[0][2].err
+    assert json.loads(shared[1][1])["arguments"]["layers"] == 2
+    assert '"layers": null' in shared[2][1]
 
 
 # ---------------------------------------------------------------------------

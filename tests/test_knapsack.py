@@ -14,6 +14,7 @@ from morphplan.knapsack import (
     KnapsackError,
     KnapsackInstance,
     Selection,
+    _ratio_key,
     exact_mckp,
     extend_kernel,
     greedy_mckp,
@@ -155,6 +156,63 @@ def test_greedy_is_feasible_and_never_beats_exact(seed):
     assert len(greedy.chosen) == len(inst.groups)
     assert {item.group for item in greedy.chosen} == set(inst.group_labels)
     assert greedy.total_profit <= optima[0].total_profit
+
+
+def greedy_summing_reserve(instance: KnapsackInstance) -> Selection:
+    """The greedy pass with the reserve summed over the other unfilled
+    groups for every item: the quadratic rule that the running total
+    of ``greedy_mckp`` replaces."""
+    if instance.min_cost_total() > instance.budget:
+        return Selection.infeasible()
+    order = sorted(
+        (item for group in instance.groups for item in group),
+        key=lambda it: (_ratio_key(it), -it.profit, it.cost, it.id),
+    )
+    min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
+    unfilled = set(min_cost)
+    chosen = {}
+    remaining = instance.budget
+    for item in order:
+        if item.group not in unfilled:
+            continue
+        reserve = sum(min_cost[g] for g in unfilled if g != item.group)
+        if item.cost + reserve <= remaining:
+            chosen[item.group] = item
+            unfilled.remove(item.group)
+            remaining -= item.cost
+    if unfilled:
+        return Selection.infeasible()
+    return Selection.of([chosen[g[0].group] for g in instance.groups])
+
+
+def tight_instance(seed: int, rational: bool) -> KnapsackInstance:
+    """Up to 12 groups with a budget near the sum of the group minima,
+    so some instances are infeasible and the reserve decides the rest."""
+    rng = random.Random(seed)
+
+    def number():
+        value = rng.randint(0, 12)
+        return Fraction(value, rng.choice((1, 2, 3, 6))) if rational else value
+
+    groups = tuple(
+        tuple(ChoiceItem(f"g{g}i{j}", f"g{g}", number(), number()) for j in range(rng.randint(1, 4)))
+        for g in range(rng.randint(1, 12))
+    )
+    floor = sum(min(item.cost for item in group) for group in groups)
+    slack = rng.randint(-3, 8)
+    budget = max(0, floor + (Fraction(slack, rng.choice((1, 2, 3))) if rational else slack))
+    return KnapsackInstance(groups=groups, budget=budget)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_greedy_running_reserve_matches_summed_reserve(rational):
+    feasible = 0
+    for seed in range(300):
+        inst = tight_instance(seed, rational)
+        ours, reference = greedy_mckp(inst), greedy_summing_reserve(inst)
+        assert ours == reference, seed
+        feasible += ours.feasible
+    assert 0 < feasible < 300
 
 
 def test_greedy_equals_exact_on_catalogue_budgets(catalogue):

@@ -259,6 +259,40 @@ def test_validate_flags_intra_child_pair():
     assert any(v.code == "compat-intra-child" for v in report.violations)
 
 
+def shared_id_model(order, pair):
+    """A{x, a2, a3} and B{x, b2} under S: both leaves offer the id x."""
+    scale = OrdinalScale(levels=3, max_compat=4)
+    comps = {
+        "A": Component(
+            id="A",
+            das=(DesignAlternative("x", 1), DesignAlternative("a2", 2), DesignAlternative("a3", 1)),
+        ),
+        "B": Component(id="B", das=(DesignAlternative("x", 1), DesignAlternative("b2", 2))),
+        "S": Component(
+            id="S",
+            children=order,
+            compat=CompatibilityTable.from_pairs([pair], default=4),
+        ),
+    }
+    return MorphModel(scale=scale, root="S", components=comps)
+
+
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+def test_validate_pair_on_shared_id_is_independent_of_child_order(order):
+    # [x, a2] also joins B's x with A's a2, so it is not intra-child.
+    assert validate_model(shared_id_model(order, ("x", "a2", 3))).ok
+
+
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+@pytest.mark.parametrize(
+    "pair, code",
+    [(("a2", "a3", 3), "compat-intra-child"), (("a2", "zz", 3), "compat-reference")],
+)
+def test_validate_flags_pair_one_child_offers_in_either_order(order, pair, code):
+    report = validate_model(shared_id_model(order, pair))
+    assert [v.code for v in report.violations] == [code]
+
+
 def test_validate_flags_shape_problems():
     scale = OrdinalScale(levels=3, max_compat=4)
     comps = {

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphplan.fixtures import NAMES, fixture_text
 from morphplan.generator import generate_document
 from morphplan.model import validate_model
 from morphplan.modeldoc import (
     DocumentError,
+    canonical_json,
     model_digest,
     parse_model,
     serialize_document,
@@ -154,3 +159,84 @@ def test_generator_is_deterministic():
     b = generate_document(seed=7, children=4, das=3)
     assert a == b
     assert a != generate_document(seed=8, children=4, das=3)
+
+
+# The digests at the commit that replaced json.dumps in canonical_json:
+# a change in the writer's bytes changes them.
+PINNED_DIGESTS = {
+    "arkticheskoe": "958c8bf5ce052a7a",
+    "kruzensternskoe": "2f746d3184dd183d",
+    "yamal_region": "339f9ef1b4390720",
+    "arkticheskoe_multiset": "7a71d4bf6fe00c12",
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fixture_digests_are_pinned(name):
+    assert model_digest(parse_model(fixture_text(name)).model) == PINNED_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# canonical_json against json.dumps
+# ---------------------------------------------------------------------------
+
+
+def json_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def outcome(write, value):
+    """The text ``write`` returns, or the type and message it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+any_text = st.text(st.characters(exclude_categories=()))
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | any_text
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(any_text, inner, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(), inner, max_size=4)
+    | st.dictionaries(st.booleans() | st.none(), inner, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(json_values)
+@example("Ямал, Карское море — ü ✓")
+@example("nul \x00, line separator \u2028, quote \" and backslash \\")
+@example("lone surrogate \ud800")
+@example([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+@example({1: "int", 2: "two", -3: "minus"})
+@example({1.5: "float", -0.0: "zero", math.inf: "inf", math.nan: "nan"})
+@example({True: "t", False: "f"})
+@example({None: "null"})
+@example({"a": [], "b": {}, "c": [[], [{}]], "d": {"e": {}}})
+@example(("tuple", (1, (2,)), ()))
+@example({"mixed": [None, True, False, 0, 0.5, "s"]})
+def test_canonical_json_matches_json_dumps(value):
+    assert outcome(canonical_json, value) == outcome(json_dumps, value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 3), {1, 2}, b"bytes", [Fraction(2)], {"k": {"s"}}, {"k": [b"x"]}],
+)
+def test_canonical_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        canonical_json(value)
+    with pytest.raises(TypeError) as theirs:
+        json_dumps(value)
+    assert str(ours.value) == str(theirs.value)
+    assert "is not JSON serializable" in str(ours.value)
