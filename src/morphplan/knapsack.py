@@ -1,15 +1,14 @@
 """Budgeted extension of a plan kernel via the multiple choice
 knapsack: pick exactly one candidate per open group, maximizing profit
 under a cost budget. A ratio-greedy pass gives the quick answer; an
-exact dynamic program over (group, residual budget) provides the
-optimum and every selection attaining it.
+exact list dynamic program over reachable (cost, profit) states
+provides the optimum and every selection attaining it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from .model import MorphError
@@ -148,65 +147,58 @@ def greedy_mckp(instance: KnapsackInstance) -> Selection:
 # Exact
 # ---------------------------------------------------------------------------
 
-_MAX_GRID = 10_000_000
-
 
 def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
-    """Every profit-maximal feasible selection, via dynamic programming
-    over (group, residual budget). Rational costs are scaled to the
-    integer grid of their common denominator. Returns () when no
-    selection fits the budget."""
-    scale = lcm(
-        *(
-            Fraction(item.cost).denominator
-            for group in instance.groups
-            for item in group
-        ),
-        Fraction(instance.budget).denominator,
-    )
-    costs = [
-        [int(Fraction(item.cost) * scale) for item in group]
-        for group in instance.groups
-    ]
-    budget = int(Fraction(instance.budget) * scale)
-    if budget > _MAX_GRID:
-        raise KnapsackError(f"budget grid too fine: {budget} cells")
-
-    n = len(instance.groups)
-    neg = None  # marker for unreachable states
-    # best[g][c]: max profit for groups < g within cost c
-    best: list[list[Number | None]] = [[neg] * (budget + 1) for _ in range(n + 1)]
-    best[0] = [0] * (budget + 1)
-    for g in range(n):
-        row = best[g]
-        nxt = best[g + 1]
-        for c in range(budget + 1):
-            acc = neg
-            for item, cost in zip(instance.groups[g], costs[g]):
-                if cost <= c and row[c - cost] is not None:
-                    value = row[c - cost] + item.profit
-                    if acc is None or value > acc:
-                        acc = value
-            nxt[c] = acc
-    optimum = best[n][budget]
-    if optimum is None:
+    """Every profit-maximal feasible selection, via a list dynamic
+    program over reachable (cost, profit) states (Nemhauser & Ullmann
+    1969, applied to the multiple choice knapsack as in Kellerer,
+    Pferschy & Pisinger 2004, ch. 11). Arithmetic stays exact in int or
+    Fraction, so the work does not depend on how fine the costs are.
+    Returns () when no selection fits the budget."""
+    if instance.min_cost_total() > instance.budget:
         return ()
+    groups = instance.groups
+    # reserve[g]: the least cost of filling the groups after group g
+    reserve = [0] * len(groups)
+    for g in range(len(groups) - 1, 0, -1):
+        reserve[g - 1] = reserve[g] + min(item.cost for item in groups[g])
 
-    # Walk back every argmax path with an explicit stack, so that many
-    # groups cannot exhaust the recursion limit. A path is fixed by its
-    # items, so each optimal selection is found once.
+    # layers[g]: the states after the first g groups, each with its
+    # (previous state, item) back-pointers. A state is kept while its
+    # groups can still be filled within the budget, and dropped only
+    # when another state has no more cost and strictly more profit: a
+    # state with equal profit at a higher cost can still be co-optimal.
+    layers: list[dict[tuple[Number, Number], list]] = [{(0, 0): []}]
+    for group, room in zip(groups, reserve):
+        limit = instance.budget - room
+        reached: dict[tuple[Number, Number], list] = {}
+        for state in layers[-1]:
+            cost, profit = state
+            for item in group:
+                if cost + item.cost <= limit:
+                    key = (cost + item.cost, profit + item.profit)
+                    reached.setdefault(key, []).append((state, item))
+        kept = {}
+        best = None
+        for key in sorted(reached, key=lambda k: (k[0], -k[1])):
+            if best is None or key[1] >= best:
+                kept[key] = reached[key]
+                best = key[1]
+        layers.append(kept)
+
+    # Walk back every path to an optimal final state with an explicit
+    # stack, so that many groups cannot exhaust the recursion limit. A
+    # path is fixed by its items, so each optimal selection is found once.
+    optimum = max(profit for _, profit in layers[-1])
     selections: list[tuple[ChoiceItem, ...]] = []
-    stack: list[tuple[int, int, tuple[ChoiceItem, ...]]] = [(n - 1, budget, ())]
+    stack = [(len(groups), state, ()) for state in layers[-1] if state[1] == optimum]
     while stack:
-        g, c, suffix = stack.pop()
-        if g < 0:
+        g, state, suffix = stack.pop()
+        if g == 0:
             selections.append(suffix)
             continue
-        target = best[g + 1][c]
-        for item, cost in zip(instance.groups[g], costs[g]):
-            if cost <= c and best[g][c - cost] is not None:
-                if best[g][c - cost] + item.profit == target:
-                    stack.append((g - 1, c - cost, (item,) + suffix))
+        for previous, item in layers[g][state]:
+            stack.append((g - 1, previous, (item,) + suffix))
     selections.sort(key=lambda sel: tuple(it.id for it in sel))
     return tuple(Selection.of(sel) for sel in selections)
 
@@ -236,6 +228,13 @@ class AggregatedPlan:
         return "*".join(pick for _, pick in self.picks)
 
 
+def check_kernel(kernel: Mapping[str, str], instance: KnapsackInstance) -> None:
+    """Kernel components and instance groups must not overlap."""
+    overlap = set(kernel) & set(instance.group_labels)
+    if overlap:
+        raise KnapsackError(f"kernel already fixes groups: {sorted(overlap)}")
+
+
 def extend_kernel(
     kernel: Mapping[str, str],
     instance: KnapsackInstance,
@@ -246,9 +245,7 @@ def extend_kernel(
     must not overlap; an empty instance returns the kernel unchanged."""
     if method not in ("greedy", "exact"):
         raise ValueError(f"unknown method {method!r}")
-    overlap = set(kernel) & set(instance.group_labels)
-    if overlap:
-        raise KnapsackError(f"kernel already fixes groups: {sorted(overlap)}")
+    check_kernel(kernel, instance)
     kernel_picks = tuple(sorted(kernel.items()))
     if not instance.groups:
         return AggregatedPlan(

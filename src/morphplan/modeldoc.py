@@ -37,11 +37,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .knapsack import ChoiceItem, KnapsackInstance
+from .knapsack import ChoiceItem, KnapsackError, KnapsackInstance, check_kernel
 from .model import (
     CompatibilityTable,
     Component,
@@ -146,6 +147,8 @@ def _number(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError([f"{path}: expected number, got {value!r}"])
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DocumentError([f"{path}: expected finite number, got {value!r}"])
         return Fraction(str(value))
     return value
 
@@ -303,6 +306,15 @@ def _parse_compat(raw, path: str) -> CompatibilityTable:
     return CompatibilityTable(default=default, entries=entries)
 
 
+@contextmanager
+def _knapsack_rule(path: str):
+    """Report a broken knapsack rule as a diagnostic at ``path``."""
+    try:
+        yield
+    except KnapsackError as exc:
+        raise DocumentError([f"{path}: {exc}"]) from None
+
+
 def _parse_knapsack(raw, path: str) -> KnapsackSection:
     obj = _obj(raw, path, required={"groups"}, optional={"kernel", "budgets"})
     kernel: dict[str, str] = {}
@@ -321,22 +333,26 @@ def _parse_knapsack(raw, path: str) -> KnapsackSection:
         for k, item_raw in enumerate(_list(gobj["items"], f"{gpath}.items")):
             ipath = f"{gpath}.items[{k}]"
             iobj = _obj(item_raw, ipath, required={"id", "cost", "profit"}, optional=set())
-            items.append(
-                ChoiceItem(
-                    id=_str(iobj["id"], f"{ipath}.id"),
-                    group=gid,
-                    cost=_number(iobj["cost"], f"{ipath}.cost"),
-                    profit=_number(iobj["profit"], f"{ipath}.profit"),
-                )
-            )
+            item_id = _str(iobj["id"], f"{ipath}.id")
+            cost = _number(iobj["cost"], f"{ipath}.cost")
+            profit = _number(iobj["profit"], f"{ipath}.profit")
+            with _knapsack_rule(ipath):
+                items.append(ChoiceItem(id=item_id, group=gid, cost=cost, profit=profit))
         if not items:
             raise DocumentError([f"{gpath}.items: group is empty"])
         groups.append(tuple(items))
-    budgets = tuple(
-        _number(b, f"{path}.budgets[{j}]")
-        for j, b in enumerate(_list(obj.get("budgets", []), f"{path}.budgets"))
-    )
-    return KnapsackSection(kernel=kernel, groups=tuple(groups), budgets=budgets)
+    with _knapsack_rule(f"{path}.groups"):
+        instance = KnapsackInstance(groups=tuple(groups), budget=0)
+    with _knapsack_rule(f"{path}.kernel"):
+        check_kernel(kernel, instance)
+    budgets = []
+    for j, b in enumerate(_list(obj.get("budgets", []), f"{path}.budgets")):
+        bpath = f"{path}.budgets[{j}]"
+        budget = _number(b, bpath)
+        with _knapsack_rule(bpath):
+            KnapsackInstance(groups=(), budget=budget)  # the budget rule alone
+        budgets.append(budget)
+    return KnapsackSection(kernel=kernel, groups=instance.groups, budgets=tuple(budgets))
 
 
 def _parse_options(raw, path: str, model: MorphModel) -> DocumentOptions:

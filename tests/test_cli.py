@@ -13,6 +13,9 @@ from morphplan.model import QualityVector
 from morphplan.reporting import estimate_scale_dot, frontier_dot
 from morphplan.synthesis import pareto_filter
 from morphplan.model import CompositeSolution
+from morphplan.modeldoc import parse_model
+from tests.test_knapsack import brute_optima
+from tests.test_modeldoc import BROKEN_KNAPSACKS, knapsack_doc_text
 
 ARK = str(fixture_path("arkticheskoe"))
 KRU = str(fixture_path("kruzensternskoe"))
@@ -376,6 +379,31 @@ def test_aggregate_exact_walks_back_many_groups(tmp_path):
     assert entry["total_profit"] == 2 * groups
     assert entry["alternatives"] == []
     assert all(entry["picks"][f"G{g}"] == f"G{g}b" for g in range(groups))
+
+
+def test_aggregate_exact_with_a_nanocent_cost(tmp_path):
+    doc = json.loads(fixture_text("yamal_region"))
+    doc["knapsack"]["groups"][0]["items"][0]["cost"] = 1e-9
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    result = run_command(["aggregate", str(path), "--method", "exact", "--format", "json"])
+    assert result.code == 0
+    knapsack = parse_model(path.read_text()).knapsack
+    for entry, budget in zip(json.loads(result.output)["aggregation"], knapsack.budgets):
+        profit, combos = brute_optima(knapsack.instance(budget))
+        assert entry["total_profit"] == profit
+        assert len(entry["alternatives"]) == len(combos) - 1
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_KNAPSACKS))
+def test_broken_knapsack_fails_validate_and_aggregate(case, tmp_path):
+    edit, diagnostic = BROKEN_KNAPSACKS[case]
+    path = tmp_path / "broken.json"
+    path.write_text(knapsack_doc_text(edit))
+    result = run_command(["validate", str(path), "--format", "json"])
+    assert result.code == 2
+    assert json.loads(result.output)["validation"] == [diagnostic]
+    assert run_command(["aggregate", str(path)]).code == 2
 
 
 def test_kernel_command_reports_agreement():

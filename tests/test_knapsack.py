@@ -1,13 +1,16 @@
 """Greedy and exact one-per-group selection under a budget, checked
-against exhaustive enumeration."""
+against exhaustive enumeration and against the budget-grid DP."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphplan.knapsack import (
     ChoiceItem,
@@ -36,6 +39,45 @@ def brute_optima(instance: KnapsackInstance):
         elif profit == best_profit:
             best.append(tuple(item.id for item in combo))
     return best_profit, sorted(best)
+
+
+def grid_optima(instance: KnapsackInstance) -> tuple[Selection, ...]:
+    """Oracle: the dynamic program over (group, residual budget) that
+    the list DP replaced. Rational costs are scaled to the integer grid
+    of their common denominator, so it only suits coarse budgets."""
+    scale = lcm(
+        *(Fraction(item.cost).denominator for group in instance.groups for item in group),
+        Fraction(instance.budget).denominator,
+    )
+    costs = [[int(Fraction(item.cost) * scale) for item in group] for group in instance.groups]
+    budget = int(Fraction(instance.budget) * scale)
+    n = len(instance.groups)
+    # best[g][c]: max profit for groups < g within cost c, None if unreachable
+    best = [[None] * (budget + 1) for _ in range(n + 1)]
+    best[0] = [0] * (budget + 1)
+    for g in range(n):
+        for c in range(budget + 1):
+            values = [
+                best[g][c - cost] + item.profit
+                for item, cost in zip(instance.groups[g], costs[g])
+                if cost <= c and best[g][c - cost] is not None
+            ]
+            best[g + 1][c] = max(values, default=None)
+    if best[n][budget] is None:
+        return ()
+    selections = []
+    stack = [(n - 1, budget, ())]
+    while stack:
+        g, c, suffix = stack.pop()
+        if g < 0:
+            selections.append(suffix)
+            continue
+        for item, cost in zip(instance.groups[g], costs[g]):
+            prev = best[g][c - cost] if cost <= c else None
+            if prev is not None and prev + item.profit == best[g + 1][c]:
+                stack.append((g - 1, c - cost, (item,) + suffix))
+    selections.sort(key=lambda sel: tuple(it.id for it in sel))
+    return tuple(Selection.of(sel) for sel in selections)
 
 
 def random_instance(seed: int) -> KnapsackInstance:
@@ -240,11 +282,82 @@ def test_rational_costs_are_scaled_exactly():
     assert optima[0].total_profit == profit == 9
 
 
+def test_rational_costs_are_exact_at_any_fineness():
+    tiny = Fraction(1, 10**9)
+    groups = (
+        (ChoiceItem("a1", "a", tiny, 2), ChoiceItem("a2", "a", 0, 1)),
+        (ChoiceItem("b1", "b", 1, 3),),
+    )
+    for budget, best in ((1, 4), (1 + tiny, 5), (Fraction(1, 2), None)):
+        inst = KnapsackInstance(groups=groups, budget=budget)
+        profit, combos = brute_optima(inst)
+        assert profit == best
+        assert [sel.item_ids() for sel in exact_mckp(inst)] == combos
+
+
+def test_huge_budget_keeps_every_optimum():
+    groups = tuple(
+        (ChoiceItem(f"g{g}a", f"g{g}", 10**299, 7), ChoiceItem(f"g{g}b", f"g{g}", 1, 7))
+        for g in range(3)
+    )
+    inst = KnapsackInstance(groups=groups, budget=10**300)
+    profit, combos = brute_optima(inst)
+    optima = exact_mckp(inst)
+    assert profit == 21 and len(combos) == 8
+    assert [sel.item_ids() for sel in optima] == combos
+    assert all(sel.total_profit == 21 for sel in optima)
+
+
 def test_negative_values_are_rejected():
     with pytest.raises(KnapsackError):
         ChoiceItem("x", "g", -1, 2)
     with pytest.raises(KnapsackError):
         KnapsackInstance(groups=((),), budget=3)
+
+
+# ---------------------------------------------------------------------------
+# list DP against the grid DP
+# ---------------------------------------------------------------------------
+
+kernel_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def coarse_instances(draw, max_groups: int = 12, max_product: int = 4096):
+    """Up to ``max_groups`` groups on a coarse grid, int or Fraction,
+    with tied copies of items and budgets around the sum of the group
+    minima. The product of the group sizes stays within
+    ``max_product``, which bounds the number of optima."""
+    rational = draw(st.booleans())
+    values = st.integers(0, 12)
+    if rational:
+        values = st.builds(Fraction, values, st.sampled_from((1, 2, 3, 6)))
+    groups = []
+    room = max_product
+    for g in range(draw(st.integers(0, max_groups))):
+        pairs = draw(st.lists(st.tuples(values, values), min_size=1, max_size=max(1, min(3, room // 2))))
+        if len(pairs) < room and draw(st.booleans()):
+            pairs.append(pairs[-1])
+        room //= len(pairs)
+        groups.append(tuple(ChoiceItem(f"g{g}i{j}", f"g{g}", c, p) for j, (c, p) in enumerate(pairs)))
+    floor = sum(min(item.cost for item in group) for group in groups)
+    budget = max(0, floor + draw(values) - draw(st.integers(0, 3)))
+    return KnapsackInstance(groups=tuple(groups), budget=budget)
+
+
+def _tied_groups(n: int, items: int) -> tuple:
+    return tuple(
+        tuple(ChoiceItem(f"g{g}i{j}", f"g{g}", 1, 2) for j in range(items)) for g in range(n)
+    )
+
+
+@kernel_settings
+@given(coarse_instances())
+@example(KnapsackInstance(groups=_tied_groups(12, 2), budget=12))
+@example(KnapsackInstance(groups=_tied_groups(12, 2), budget=11))
+@example(KnapsackInstance(groups=(), budget=0))
+def test_list_dp_equals_grid_dp(instance):
+    assert exact_mckp(instance) == grid_optima(instance)
 
 
 # ---------------------------------------------------------------------------

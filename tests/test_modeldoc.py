@@ -147,6 +147,77 @@ def test_knapsack_section_parses(yamal_region):
     assert ks.budgets == (9, 10, 11, 12)
 
 
+KNAPSACK = {
+    "kernel": {"A": "a1"},
+    "groups": [
+        {"id": "G", "items": [{"id": "g1", "cost": 1, "profit": 2}, {"id": "g2", "cost": 2, "profit": 3}]},
+        {"id": "H", "items": [{"id": "h1", "cost": 0, "profit": 1}]},
+    ],
+    "budgets": [3],
+}
+
+
+def knapsack_doc_text(edit) -> str:
+    knapsack = json.loads(json.dumps(KNAPSACK))
+    edit(knapsack)
+    return doc_text({"knapsack": knapsack})
+
+
+def _set(*steps):
+    """An edit that assigns the last step's value at the path of the others."""
+
+    def edit(knapsack):
+        target = knapsack
+        for key in steps[:-2]:
+            target = target[key]
+        target[steps[-2]] = steps[-1]
+
+    return edit
+
+
+# Knapsack rules the parser must report as DocumentError diagnostics.
+BROKEN_KNAPSACKS = {
+    "negative-cost": (
+        _set("groups", 0, "items", 0, "cost", -1),
+        "$.knapsack.groups[0].items[0]: item 'g1' has negative cost or profit",
+    ),
+    "negative-budget": (
+        _set("budgets", [3, -1]),
+        "$.knapsack.budgets[1]: budget must be nonnegative: -1",
+    ),
+    "repeated-group": (
+        _set("groups", 1, "id", "G"),
+        "$.knapsack.groups: group label 'G' repeats",
+    ),
+    "repeated-item": (
+        _set("groups", 1, "items", 0, "id", "g1"),
+        "$.knapsack.groups: item id 'g1' repeats",
+    ),
+    "kernel-names-open-group": (
+        _set("kernel", {"A": "a1", "H": "h1"}),
+        "$.knapsack.kernel: kernel already fixes groups: ['H']",
+    ),
+    "non-finite-cost": (
+        _set("groups", 0, "items", 1, "cost", math.inf),
+        "$.knapsack.groups[0].items[1].cost: expected finite number, got inf",
+    ),
+}
+
+
+def test_knapsack_base_document_parses():
+    ks = parse_model(knapsack_doc_text(lambda knapsack: None)).knapsack
+    assert [item.id for group in ks.groups for item in group] == ["g1", "g2", "h1"]
+    assert ks.budgets == (3,)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_KNAPSACKS))
+def test_broken_knapsack_is_a_document_error(case):
+    edit, diagnostic = BROKEN_KNAPSACKS[case]
+    with pytest.raises(DocumentError) as err:
+        parse_model(knapsack_doc_text(edit))
+    assert err.value.diagnostics == [diagnostic]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_generated_documents_always_validate(seed):
     doc_dict = generate_document(seed=seed, children=4, das=4)
