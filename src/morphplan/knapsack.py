@@ -164,10 +164,11 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
         reserve[g - 1] = reserve[g] + min(item.cost for item in groups[g])
 
     # layers[g]: the states after the first g groups, each with its
-    # (previous state, item) back-pointers. A state is kept while its
-    # groups can still be filled within the budget, and dropped only
-    # when another state has no more cost and strictly more profit: a
-    # state with equal profit at a higher cost can still be co-optimal.
+    # (previous state, item) back-pointers. A state is kept while the
+    # groups after it can still be filled within the budget, and dropped
+    # only when another state has no more cost and strictly more profit:
+    # a state with equal profit at a higher cost can still be co-optimal.
+    # So each layer holds at most one state per distinct cost.
     layers: list[dict[tuple[Number, Number], list]] = [{(0, 0): []}]
     for group, room in zip(groups, reserve):
         limit = instance.budget - room
@@ -175,8 +176,9 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
         for state in layers[-1]:
             cost, profit = state
             for item in group:
-                if cost + item.cost <= limit:
-                    key = (cost + item.cost, profit + item.profit)
+                total = cost + item.cost
+                if total <= limit:
+                    key = (total, profit + item.profit)
                     reached.setdefault(key, []).append((state, item))
         kept = {}
         best = None

@@ -335,11 +335,14 @@ def coarse_instances(draw, max_groups: int = 12, max_product: int = 4096):
     groups = []
     room = max_product
     for g in range(draw(st.integers(0, max_groups))):
-        pairs = draw(st.lists(st.tuples(values, values), min_size=1, max_size=max(1, min(3, room // 2))))
+        size = max(1, min(3, room // 2))
+        pairs = draw(st.lists(st.tuples(values, values), min_size=1, max_size=size))
         if len(pairs) < room and draw(st.booleans()):
-            pairs.append(pairs[-1])
+            pairs.append(pairs[-1])  # a tied copy
         room //= len(pairs)
-        groups.append(tuple(ChoiceItem(f"g{g}i{j}", f"g{g}", c, p) for j, (c, p) in enumerate(pairs)))
+        groups.append(
+            tuple(ChoiceItem(f"g{g}i{j}", f"g{g}", c, p) for j, (c, p) in enumerate(pairs))
+        )
     floor = sum(min(item.cost for item in group) for group in groups)
     budget = max(0, floor + draw(values) - draw(st.integers(0, 3)))
     return KnapsackInstance(groups=tuple(groups), budget=budget)

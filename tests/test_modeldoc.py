@@ -150,7 +150,13 @@ def test_knapsack_section_parses(yamal_region):
 KNAPSACK = {
     "kernel": {"A": "a1"},
     "groups": [
-        {"id": "G", "items": [{"id": "g1", "cost": 1, "profit": 2}, {"id": "g2", "cost": 2, "profit": 3}]},
+        {
+            "id": "G",
+            "items": [
+                {"id": "g1", "cost": 1, "profit": 2},
+                {"id": "g2", "cost": 2, "profit": 3},
+            ],
+        },
         {"id": "H", "items": [{"id": "h1", "cost": 0, "profit": 1}]},
     ],
     "budgets": [3],
