@@ -6,16 +6,20 @@ gap rule (optionally enforced) forbids marks on two levels that
 sandwich an empty level. Estimates support elementwise aggregation, a
 two-sided edit distance counting one-level promotions and demotions,
 and consensus search: the domain estimate minimizing total distance to
-a set of observed estimates. Estimate-carrying alternatives can be
-composed like ranked ones, scoring a selection by its consensus
-estimate instead of priority counts.
+a set of observed estimates, found by a dynamic program over the
+prefix sums of the counts rather than by listing the domain.
+Estimate-carrying alternatives can be composed like ranked ones,
+scoring a selection by its consensus estimate instead of priority
+counts.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Iterator, Mapping, Sequence
 
 from .model import (
     Component,
@@ -66,10 +70,7 @@ def enumerate_estimates(
     Ordered descending-lexicographically on counts, which linearly
     extends dominance: better estimates always come earlier.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1: {levels}")
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1: {eta}")
+    _check_shape(levels, eta)
     out: list[Estimate] = []
 
     def build(remaining: int, parts: int, prefix: tuple[int, ...]) -> None:
@@ -83,6 +84,14 @@ def enumerate_estimates(
     if enforce_gap_rule:
         out = [e for e in out if satisfies_gap_rule(e)]
     return out
+
+
+def _check_shape(levels: int, eta: int) -> None:
+    """An estimate domain needs at least one level and one mark."""
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1: {levels}")
+    if eta < 1:
+        raise ValueError(f"eta must be >= 1: {eta}")
 
 
 def uplus(estimates: Sequence[Estimate], levels: int | None = None) -> Estimate:
@@ -169,6 +178,19 @@ class MedianResult:
         return self.estimates[0]
 
 
+Row = list[int]
+Moves = tuple[int, tuple[tuple[int | None, int], ...]]
+
+# The gap rule as an automaton over the positivity of the last two
+# counts: (start state, per state (state after a positive count, state
+# after a zero count)). With the rule, state 0 follows a positive count,
+# state 1 a zero after a positive count (a positive count now would
+# sandwich the empty level, so it has no move), and state 2 a zero after
+# a zero or nothing. Without the rule one state takes every count.
+_GAP_RULE_MOVES: Moves = (2, ((0, 1), (None, 2), (0, 2)))
+_FREE_MOVES: Moves = (0, ((0, 0),))
+
+
 def generalized_median(
     observed: Sequence[Estimate],
     enforce_gap_rule: bool = True,
@@ -177,11 +199,24 @@ def generalized_median(
     """Domain estimate(s) minimizing total proximity to the observed
     estimates.
 
-    The candidate domain is every estimate of the same shape
-    (gap rule applied unless disabled); the whole domain is scanned, so
-    the result is exhaustively optimal. ``metric`` picks the per-pair
-    deviation: the magnitude (``max``) or the full edit count
-    (``sum``). All co-minimal candidates are returned, best first.
+    The candidate domain is every estimate of the same shape (gap rule
+    applied unless disabled). ``metric`` picks the per-pair deviation:
+    the magnitude (``max``) or the full edit count (``sum``). All
+    co-minimal candidates are returned, best first.
+
+    The domain is never listed. A candidate with prefix sums S_k
+    deviates from observation j by sum_k |S_k - P_jk| edits, of which
+    the promotions outnumber the demotions by T_j - T (T = sum_k S_k),
+    so both metrics separate over the levels: ``sum`` costs
+    sum_k cost_k(S_k) with cost_k(s) = sum_j |s - P_jk|, and ``max``
+    costs half of that plus sum_j |T_j - T|. A dynamic program over the
+    levels, whose state is S_k, the gap-rule state and (for ``max``)
+    the running total, tabulates the least cost of the remaining
+    levels; a walk that tries the highest S_k first and follows only
+    optimal moves then lists every optimum in descending-lex order.
+    The tables hold O(levels * eta) entries for ``sum`` and
+    O(levels**2 * eta**2) for ``max``, each computed in constant time;
+    the domain holds binomial(levels + eta - 1, eta) estimates.
     """
     if not observed:
         raise ValueError("median of an empty observation set")
@@ -189,24 +224,110 @@ def generalized_median(
         raise ValueError(f"unknown metric {metric!r}")
     check_counts(observed)
     levels, eta = len(observed[0]), sum(observed[0])
+    _check_shape(levels, eta)
     observed_sums = [cumulative(est) for est in observed]
-    by_max = metric == "max"
+    # Only the max metric needs the running total t = S_1 + ... + S_k;
+    # under sum it stays 0.
+    step = 1 if metric == "max" else 0
+    start, moves = _GAP_RULE_MOVES if enforce_gap_rule else _FREE_MOVES
+    # cost[k][s]: level k+1 at prefix sum s. The last level always
+    # ends at eta, as every observation does, and costs nothing.
+    cost = [_distance_sums(column, eta) for column in list(zip(*observed_sums))[:-1]]
+    cost.append([0] * (eta + 1))
+    # by_total[t]: sum_j |T_j - t|, the max metric's term for total t.
+    if step:
+        by_total = _distance_sums([sum(sums) for sums in observed_sums], levels * eta)
+    else:
+        by_total = [0]
 
-    best: list[Estimate] = []
-    best_total: int | None = None
-    for candidate in enumerate_estimates(levels, eta, enforce_gap_rule):
-        sums = cumulative(candidate)
-        t = 0
-        for other in observed_sums:
-            up, down = _edits(sums, other)
-            t += max(up, down) if by_max else up + down
-        if best_total is None or t < best_total:
-            best_total = t
-            best = [candidate]
-        elif t == best_total:
-            best.append(candidate)
-    assert best_total is not None
-    return MedianResult(estimates=tuple(best), deviation=best_total)
+    # togo[k][state][s][t] for k = 1..l: the least cost of levels
+    # k+1..l (for max, with sum_j |T_j - T| added) after level k ends at
+    # prefix sum s in that state with running total t; None where no
+    # estimate goes on. A row covers at least t = 0..step*k*s, the
+    # totals such a prefix can have. togo[0] stays empty: level 0 is
+    # prefix sum 0 in the start state, and ``moves_after`` reads its
+    # moves off togo[1].
+    final: list[Row | None] = [None] * eta + [by_total]
+    togo: list[list[list[Row | None]]] = [[final] * len(moves)]
+    marks = {marked for marked, _ in moves if marked is not None}
+    for k in range(levels - 1, 0, -1):
+        level_cost = cost[k]
+        # via[x][s][t]: the least cost of levels k+1..l when level k+1
+        # ends at s in state x, from running total t at level k.
+        via = [
+            [
+                None if row is None else [level_cost[s] + v for v in row[step * s :]]
+                for s, row in enumerate(rows)
+            ]
+            for rows in togo[-1]
+        ]
+        # above[x][s]: the best over s' > s of via[x][s'], for a positive count.
+        above = {x: _suffix_min(via[x]) for x in marks}
+        togo.append(
+            [
+                [
+                    _row_min(None if marked is None else above[marked][s], via[zero][s])
+                    for s in range(eta + 1)
+                ]
+                for marked, zero in moves
+            ]
+        )
+    togo.append([])
+    togo.reverse()
+
+    def moves_after(k: int, s: int, state: int, t: int) -> Iterator[tuple[int, int, int, int]]:
+        """(least cost of levels k+1..l, prefix sum, state, total) for
+        each way level k+1 can go on from level k, highest sum first."""
+        marked, zero = moves[state]
+        level_cost, rows = cost[k], togo[k + 1]
+        for nxt in range(eta, s - 1, -1):
+            x = zero if nxt == s else marked
+            row = None if x is None else rows[x][nxt]
+            if row is not None:
+                t2 = t + step * nxt
+                yield level_cost[nxt] + row[t2], nxt, x, t2
+
+    found: list[Estimate] = []
+
+    def walk(k: int, s: int, state: int, t: int, left: int, counts: Estimate) -> None:
+        if k == levels:
+            found.append(counts)
+            return
+        for value, nxt, x, t2 in moves_after(k, s, state, t):
+            if value == left:
+                walk(k + 1, nxt, x, t2, left - cost[k][nxt], counts + (nxt - s,))
+
+    best = min(value for value, *_ in moves_after(0, 0, start, 0))
+    walk(0, 0, start, 0, best, ())
+    return MedianResult(estimates=tuple(found), deviation=best // 2 if step else best)
+
+
+def _distance_sums(points: Sequence[int], top: int) -> Row:
+    """[sum(|s - p| for p in points) for s in 0..top], each from the
+    last: one step up moves s away from the points at or below it and
+    toward the rest."""
+    ordered = sorted(points)
+    steps = (2 * bisect_right(ordered, s) - len(ordered) for s in range(top))
+    return list(accumulate(steps, initial=sum(map(abs, ordered))))
+
+
+def _row_min(a: Row | None, b: Row | None) -> Row | None:
+    """Elementwise minimum over the shorter length; None is no row."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return [x if x < y else y for x, y in zip(a, b)]
+
+
+def _suffix_min(rows: list[Row | None]) -> list[Row | None]:
+    """out[s] = the elementwise minimum of rows[s+1:], None if all None."""
+    out: list[Row | None] = [None] * len(rows)
+    acc: Row | None = None
+    for s in range(len(rows) - 1, 0, -1):
+        acc = _row_min(acc, rows[s])
+        out[s - 1] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from itertools import product
 from math import prod
+from typing import Sequence
 
 import pytest
 
+from morphplan.estimates import Estimate, MedianResult, _edits, enumerate_estimates
 from morphplan.fixtures import fixture_text
 from morphplan.model import (
     CompatibilityTable,
@@ -15,6 +17,8 @@ from morphplan.model import (
     DesignAlternative,
     MorphModel,
     OrdinalScale,
+    check_counts,
+    cumulative,
     system_quality,
 )
 from morphplan.modeldoc import parse_model
@@ -94,6 +98,40 @@ def admissible_by_product(node: Component, model: MorphModel) -> list:
         if quality.w >= 1:
             out.append((picks, quality, das))
     return out
+
+
+def median_by_scan(
+    observed: Sequence[Estimate],
+    enforce_gap_rule: bool = True,
+    metric: str = "max",
+) -> MedianResult:
+    """Reference for ``generalized_median``: scan every estimate of the
+    shape from ``enumerate_estimates``, keeping all co-minimal ones in
+    the domain's best-first order."""
+    if not observed:
+        raise ValueError("median of an empty observation set")
+    if metric not in ("max", "sum"):
+        raise ValueError(f"unknown metric {metric!r}")
+    check_counts(observed)
+    levels, eta = len(observed[0]), sum(observed[0])
+    observed_sums = [cumulative(est) for est in observed]
+    by_max = metric == "max"
+
+    best: list[Estimate] = []
+    best_total: int | None = None
+    for candidate in enumerate_estimates(levels, eta, enforce_gap_rule):
+        sums = cumulative(candidate)
+        t = 0
+        for other in observed_sums:
+            up, down = _edits(sums, other)
+            t += max(up, down) if by_max else up + down
+        if best_total is None or t < best_total:
+            best_total = t
+            best = [candidate]
+        elif t == best_total:
+            best.append(candidate)
+    assert best_total is not None
+    return MedianResult(estimates=tuple(best), deviation=best_total)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,8 @@ COMMANDS = [
     ["bottlenecks", ARK],
     ["kernel", REGION],
     ["median", MULTI],
+    # The only command that still lists the estimate domain.
+    ["median", MULTI, "--format", "dot"],
     ["aggregate", REGION, "--method", "exact"],
     ["aggregate", REGION, "--method", "greedy"],
 ]

@@ -327,6 +327,20 @@ def test_median_without_estimates_is_a_usage_error():
     assert result.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_median_of_all_zero_estimates_is_a_usage_error(tmp_path, fmt):
+    doc = json.loads(fixture_text("arkticheskoe_multiset"))
+    for comp in doc["components"]:
+        for da in comp.get("das", []):
+            da["estimate"] = [0, 0, 0]
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]).code == 0
+    result = run_command(["median", str(path), "--format", fmt])
+    assert result.code == 2
+    assert result.output == "error: eta must be >= 1: 0\n"
+
+
 # ---------------------------------------------------------------------------
 # aggregate / kernel
 # ---------------------------------------------------------------------------

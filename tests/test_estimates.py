@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphplan.estimates import (
     enumerate_estimates,
@@ -19,7 +22,7 @@ from morphplan.estimates import (
     uplus,
 )
 from morphplan.model import InvalidComparisonError, SolutionError
-from tests.conftest import admissible_by_product, node_model
+from tests.conftest import admissible_by_product, median_by_scan, node_model
 
 EXPECTED_SCALE_3_4 = [
     (4, 0, 0), (3, 1, 0), (2, 2, 0), (2, 1, 1), (1, 3, 0), (1, 2, 1),
@@ -272,6 +275,86 @@ def test_sum_metric_counts_both_edit_directions():
     # under the sum metric every estimate between the two costs the same
     assert by_sum.deviation == 4
     assert by_max.deviation <= by_sum.deviation
+
+
+def counts_from_sums(sums, eta):
+    """Count vector with prefix sums ``sums`` (levels 1..l-1) and total eta."""
+    bounds = [0, *sums, eta]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def observation_sets(draw):
+    """1-7 estimates of one shape, l 1-5 and eta 1-8, gap rule ignored."""
+    levels = draw(st.integers(1, 5))
+    eta = draw(st.integers(1, 8))
+    sums = st.lists(st.integers(0, eta), min_size=levels - 1, max_size=levels - 1)
+    return [counts_from_sums(sorted(c), eta) for c in draw(st.lists(sums, min_size=1, max_size=7))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(observation_sets())
+@example([(5,), (5,)])
+@example([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)])
+@example([(2, 1, 0, 0, 5)] * 4)
+@example([(3, 0, 1), (3, 0, 1)])
+def test_consensus_equals_the_domain_scan(observed):
+    for enforce in (True, False):
+        for metric in ("max", "sum"):
+            assert generalized_median(observed, enforce, metric) == median_by_scan(
+                observed, enforce, metric
+            ), (enforce, metric)
+
+
+def random_estimate(rng, levels, eta):
+    return counts_from_sums(sorted(rng.randint(0, eta) for _ in range(levels - 1)), eta)
+
+
+@pytest.mark.parametrize("enforce", [True, False])
+@pytest.mark.parametrize("metric", ["max", "sum"])
+@pytest.mark.parametrize("levels,eta", [(8, 12), (10, 16)])
+def test_consensus_on_shapes_too_large_to_scan(levels, eta, metric, enforce):
+    # 75,582 and 2,042,975 estimates before the gap rule.
+    rng = random.Random(levels * 100 + eta)
+    observed = [random_estimate(rng, levels, eta) for _ in range(6)]
+    result = generalized_median(observed, enforce_gap_rule=enforce, metric=metric)
+    in_domain = satisfies_gap_rule if enforce else (lambda est: True)
+
+    def deviation(est):
+        pairs = [proximity(est, obs) for obs in observed]
+        return sum(p.magnitude if metric == "max" else p.total for p in pairs)
+
+    assert all(deviation(est) == result.deviation for est in result.estimates)
+    assert all(a > b for a, b in zip(result.estimates, result.estimates[1:]))
+    assert all(in_domain(est) for est in result.estimates)
+    for est in result.estimates:
+        for near in one_step_moves(est):
+            if in_domain(near):
+                assert deviation(near) >= result.deviation, near
+    samples = 0
+    while samples < 2000:
+        est = random_estimate(rng, levels, eta)
+        if in_domain(est):
+            samples += 1
+            assert deviation(est) >= result.deviation, est
+
+
+@pytest.mark.parametrize("median", [generalized_median, median_by_scan])
+@pytest.mark.parametrize(
+    "observed,metric,error,message",
+    [
+        ([], "max", ValueError, "median of an empty observation set"),
+        ([(1, 0)], "mean", ValueError, "unknown metric 'mean'"),
+        ([(1, 0), (1, 0, 0)], "max", InvalidComparisonError, "count vectors differ in length: 2 vs 3"),
+        ([(1, 0), (2, 0)], "sum", InvalidComparisonError, "count vectors differ in total: 1 vs 2"),
+        ([(0, 0, 0), (0, 0, 0)], "max", ValueError, "eta must be >= 1: 0"),
+        ([()], "sum", ValueError, "levels must be >= 1: 0"),
+    ],
+)
+def test_consensus_errors_match_the_scan(median, observed, metric, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        median(observed, metric=metric)
+    assert info.type is error
 
 
 # ---------------------------------------------------------------------------
