@@ -2,11 +2,12 @@
 
     morph validate    model.json
     morph synth       model.json [--algorithm dp|brute] [--layers K] [--node ID]
-    morph bottlenecks model.json [--node ID]
+    morph bottlenecks model.json [--algorithm dp|brute] [--node ID]
     morph median      model.json [--node ID] [--enforce-condition2 true|false]
                                  [--metric max|sum]
     morph aggregate   model.json [--budget B] [--method greedy|exact]
-    morph kernel      model.json [--threshold P]
+    morph kernel      model.json [--algorithm dp|brute] [--layers K]
+                                 [--threshold P]
     morph gen         [--seed N] [--children M] [--das D] [--levels L] [--nu V]
     morph report      model.json [...]
 
@@ -44,7 +45,6 @@ _REPORT_ACTION_FIELDS = ("kind", "describe", "new_w", "new_e")
 
 @dataclass
 class CommandResult:
-    report: dict
     output: str
     code: int
 
@@ -63,22 +63,14 @@ def run_command(argv: Sequence[str]) -> CommandResult:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return CommandResult(report={}, output="", code=code or EXIT_OK)
+        return CommandResult(output="", code=code or EXIT_OK)
     try:
         return args.handler(args)
     except DocumentError as exc:
         lines = [f"error: {d}" for d in exc.diagnostics]
-        return CommandResult(
-            report={"diagnostics": exc.diagnostics},
-            output="\n".join(lines) + "\n",
-            code=EXIT_USAGE,
-        )
+        return CommandResult(output="\n".join(lines) + "\n", code=EXIT_USAGE)
     except (MorphError, OSError, ValueError) as exc:
-        return CommandResult(
-            report={"diagnostics": [str(exc)]},
-            output=f"error: {exc}\n",
-            code=EXIT_USAGE,
-        )
+        return CommandResult(output=f"error: {exc}\n", code=EXIT_USAGE)
 
 
 @functools.cache
@@ -184,19 +176,37 @@ def _parse_budget(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _base_report(command: str, args, doc: ModelDocument | None) -> dict:
-    report: dict = {"command": command, "arguments": _echo_args(args)}
-    if doc is not None:
-        report["model"] = {
-            "name": doc.options.name,
-            "digest": model_digest(doc.model),
-            "root": doc.model.root,
-            "scale": {
-                "l": doc.model.scale.levels,
-                "nu": doc.model.scale.max_compat,
+def _model_command(build):
+    """A command on a model document. The handler parses the document,
+    starts the report with the command, its arguments and the model,
+    and calls ``build(args, doc, report)``, which adds the command's
+    sections and returns the exit code and, for ``--format dot``, the
+    text to print in place of the report."""
+
+    @functools.wraps(build)
+    def handler(args) -> CommandResult:
+        doc = parse_model_file(args.model)
+        model = doc.model
+        report: dict = {
+            "command": args.command,
+            "arguments": _echo_args(args),
+            "model": {
+                "name": doc.options.name,
+                "digest": model_digest(model),
+                "root": model.root,
+                "scale": {"l": model.scale.levels, "nu": model.scale.max_compat},
             },
         }
-    return report
+        code, dot = build(args, doc, report)
+        return CommandResult(output=_render(report, args.format, dot), code=code)
+
+    return handler
+
+
+def _render(report: dict, fmt: str, dot: str | None = None) -> str:
+    if fmt == "dot":
+        return dot
+    return render_json(report) if fmt == "json" else render_text(report)
 
 
 def _echo_args(args) -> dict:
@@ -231,17 +241,15 @@ def _frontier_dict(frontier: Frontier) -> dict:
     }
 
 
-def _named_ordinal(doc: ModelDocument) -> tuple[list[dict], list[str]]:
-    entries: list[dict] = []
-    warnings: list[str] = []
-    model = doc.model
-    for exp in doc.options.expected:
-        if exp.kind != "ordinal":
-            continue
-        node = model.component(exp.node)
-        q = system_quality(exp.picks, node, model)
-        entries.append(_named_entry(exp, q, warnings))
-    return entries, warnings
+def _expected_solution(exp: ExpectedSolution, model: MorphModel) -> CompositeSolution:
+    """An ``options.expected`` entry scored as a solution of its node,
+    its picks in child order."""
+    node = model.component(exp.node)
+    return CompositeSolution(
+        node=exp.node,
+        picks=tuple((c, exp.picks[c]) for c in node.children),
+        quality=system_quality(exp.picks, node, model),
+    )
 
 
 def _named_entry(exp, computed: QualityVector, warnings: list[str]) -> dict:
@@ -265,14 +273,13 @@ def _named_entry(exp, computed: QualityVector, warnings: list[str]) -> dict:
     }
 
 
-def _synth_sections(
-    doc: ModelDocument, algorithm: str, layers: int | None
-) -> tuple[dict, SynthesisOutcome, bool]:
-    """The frontiers, named and warnings sections, the outcome they
-    come from, and whether the root is feasible."""
-    outcome = hierarchical_synthesize(doc.model, algorithm=algorithm, max_layers=layers)
-    frontiers: dict = {}
-    for comp in doc.model.postorder():
+def _synth_sections(doc: ModelDocument, args, report: dict) -> SynthesisOutcome:
+    """Add the frontiers, named and warnings sections; return the
+    outcome they come from."""
+    model = doc.model
+    outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
+    frontiers = report["frontiers"] = {}
+    for comp in model.postorder():
         if comp.is_leaf:
             continue
         if comp.id in outcome.frontiers:
@@ -284,13 +291,16 @@ def _synth_sections(
                 "count": 0,
                 "solutions": [],
             }
-    root_ok = doc.model.root in outcome.frontiers or doc.model.component(doc.model.root).is_leaf
-    sections: dict = {"frontiers": frontiers}
-    named, mismatch_warnings = _named_ordinal(doc)
+    warnings = list(doc.options.notes)
+    named = [
+        _named_entry(exp, _expected_solution(exp, model).quality, warnings)
+        for exp in doc.options.expected
+        if exp.kind == "ordinal"
+    ]
     if named:
-        sections["named"] = named
-    sections["warnings"] = list(doc.options.notes) + mismatch_warnings
-    return sections, outcome, root_ok
+        report["named"] = named
+    report["warnings"] = warnings
+    return outcome
 
 
 def _leaf_parents(model: MorphModel) -> list[str]:
@@ -313,7 +323,6 @@ def _bottlenecks_section(
     ``expected``."""
     per_node: dict = {}
     for node_id in nodes:
-        comp = model.component(node_id)
         targets: dict[str, CompositeSolution] = {}
         frontier = outcome.frontiers.get(node_id)
         if frontier is not None:
@@ -321,12 +330,7 @@ def _bottlenecks_section(
                 targets[sol.label] = sol
         for exp in expected:
             if exp.kind == "ordinal" and exp.node == node_id:
-                q = system_quality(exp.picks, comp, model)
-                sol = CompositeSolution(
-                    node=node_id,
-                    picks=tuple((c, exp.picks[c]) for c in comp.children),
-                    quality=q,
-                )
+                sol = _expected_solution(exp, model)
                 targets[sol.label] = sol
         per_node[node_id] = {
             label: [
@@ -395,16 +399,6 @@ def _aggregation_section(knapsack: KnapsackSection, budget, method: str) -> list
     return entries
 
 
-def _finish(report: dict, args, code: int, dot: str | None = None) -> CommandResult:
-    if args.format == "json":
-        output = render_json(report)
-    elif args.format == "dot":
-        output = dot if dot is not None else ""
-    else:
-        output = render_text(report)
-    return CommandResult(report=report, output=output, code=code)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -412,52 +406,56 @@ def _finish(report: dict, args, code: int, dot: str | None = None) -> CommandRes
 
 def cmd_validate(args) -> CommandResult:
     try:
-        doc = parse_model_file(args.model)
+        return _validated(args)
     except DocumentError as exc:
         report = {"command": "validate", "arguments": _echo_args(args), "validation": exc.diagnostics}
-        return _finish(report, args, EXIT_USAGE)
-    report = _base_report("validate", args, doc)
+        return CommandResult(output=_render(report, args.format), code=EXIT_USAGE)
+
+
+@_model_command
+def _validated(args, doc, report) -> tuple[int, str | None]:
     report["validation"] = []
-    return _finish(report, args, EXIT_OK)
+    return EXIT_OK, None
 
 
-def cmd_synth(args) -> CommandResult:
-    doc = parse_model_file(args.model)
+@_model_command
+def cmd_synth(args, doc, report) -> tuple[int, str | None]:
     target = args.node or doc.model.root
     doc.model.component(target)  # an unknown id is a usage error
-    report = _base_report("synth", args, doc)
-    sections, outcome, root_ok = _synth_sections(doc, args.algorithm, args.layers)
-    report.update(sections)
-    dot = None
-    if args.format == "dot":
-        frontier = outcome.frontiers.get(target)
-        if frontier is None:
-            reason = outcome.infeasible.get(target, "")
-            return CommandResult(report, f"node {target}: infeasible ({reason})\n", EXIT_INFEASIBLE)
-        dot = frontier_dot(frontier)
-    return _finish(report, args, EXIT_OK if root_ok else EXIT_INFEASIBLE, dot)
+    outcome = _synth_sections(doc, args, report)
+    code = EXIT_OK if doc.model.root in outcome.frontiers else EXIT_INFEASIBLE
+    if args.format != "dot":
+        return code, None
+    frontier = outcome.frontiers.get(target)
+    if frontier is None:
+        reason = outcome.infeasible.get(target, "")
+        return EXIT_INFEASIBLE, f"node {target}: infeasible ({reason})\n"
+    return code, frontier_dot(frontier)
 
 
-def cmd_bottlenecks(args) -> CommandResult:
-    doc = parse_model_file(args.model)
+@_model_command
+def cmd_bottlenecks(args, doc, report) -> tuple[int, str | None]:
     model = doc.model
-    report = _base_report("bottlenecks", args, doc)
+    nodes = _leaf_parents(model)
+    if args.node:
+        model.component(args.node)  # an unknown id is a usage error
+        if args.node not in nodes:
+            raise MorphError(
+                f"bottlenecks --node {args.node}: not a composite whose children are all leaves"
+            )
+        nodes = [args.node]
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm)
-    nodes = [args.node] if args.node else _leaf_parents(model)
     report["bottlenecks"] = _bottlenecks_section(model, outcome, nodes, doc.options.expected)
     report["warnings"] = list(doc.options.notes)
-    return _finish(report, args, EXIT_OK)
+    return EXIT_OK, None
 
 
-def cmd_median(args) -> CommandResult:
-    doc = parse_model_file(args.model)
+@_model_command
+def cmd_median(args, doc, report) -> tuple[int, str | None]:
     model = doc.model
     enforce = args.enforce_condition2 == "true"
     node_id = args.node or model.root
     node = model.component(node_id)
-    report = _base_report("median", args, doc)
-    warnings = list(doc.options.notes)
-
     estimates = [
         da.estimate
         for cid in node.children
@@ -465,11 +463,7 @@ def cmd_median(args) -> CommandResult:
         if da.estimate is not None
     ]
     if not estimates:
-        return CommandResult(
-            report={},
-            output=f"error: node {node_id} has no estimate-carrying alternatives\n",
-            code=EXIT_USAGE,
-        )
+        raise MorphError(f"node {node_id} has no estimate-carrying alternatives")
     levels = len(estimates[0])
     eta = sum(estimates[0])
 
@@ -485,63 +479,54 @@ def cmd_median(args) -> CommandResult:
         "solutions": _frontier_dict(frontier)["solutions"],
     }
 
+    warnings = list(doc.options.notes)
     named = []
     for exp in doc.options.expected:
         if exp.kind != "median" or exp.node != node_id:
             continue
-        q_ord = system_quality(exp.picks, node, model)
-        observed = [
-            model.component(cid).da(pick).estimate for cid, pick in exp.picks.items()
-        ]
+        sol = _expected_solution(exp, model)
+        observed = [model.component(cid).da(pick).estimate for cid, pick in sol.picks]
         median = generalized_median(
             [est for est in observed if est is not None],
             enforce_gap_rule=enforce,
             metric=args.metric,
         )
-        computed = QualityVector(w=q_ord.w, e=median.best)
-        entry = _named_entry(exp, computed, warnings)
+        entry = _named_entry(exp, QualityVector(w=sol.quality.w, e=median.best), warnings)
         entry["deviation"] = median.deviation
         named.append(entry)
     if named:
         report["named"] = named
     report["warnings"] = warnings
 
-    dot = None
-    if args.format == "dot":
-        dot = estimate_scale_dot(enumerate_estimates(levels, eta, enforce))
-    return _finish(report, args, EXIT_OK, dot)
+    if args.format != "dot":
+        return EXIT_OK, None
+    return EXIT_OK, estimate_scale_dot(enumerate_estimates(levels, eta, enforce))
 
 
-def cmd_aggregate(args) -> CommandResult:
-    doc = parse_model_file(args.model)
-    report = _base_report("aggregate", args, doc)
+@_model_command
+def cmd_aggregate(args, doc, report) -> tuple[int, str | None]:
     if doc.knapsack is None:
-        return CommandResult(
-            report={}, output="error: model has no knapsack section\n", code=EXIT_USAGE
-        )
+        raise MorphError("model has no knapsack section")
     entries = _aggregation_section(doc.knapsack, args.budget, args.method)
     if not entries:
-        return CommandResult(
-            report={}, output="error: no budget given and none in the model\n", code=EXIT_USAGE
-        )
+        raise MorphError("no budget given and none in the model")
     report["aggregation"] = entries
     report["warnings"] = list(doc.options.notes)
     feasible = all(entry["feasible"] for entry in entries)
-    return _finish(report, args, EXIT_OK if feasible else EXIT_INFEASIBLE)
+    return EXIT_OK if feasible else EXIT_INFEASIBLE, None
 
 
-def cmd_kernel(args) -> CommandResult:
-    doc = parse_model_file(args.model)
+@_model_command
+def cmd_kernel(args, doc, report) -> tuple[int, str | None]:
     model = doc.model
-    report = _base_report("kernel", args, doc)
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
     section = _kernel_section(model, outcome, args.threshold)
     if section is None:
         report["warnings"] = [f"root infeasible: {outcome.infeasible.get(model.root, '')}"]
-        return _finish(report, args, EXIT_INFEASIBLE)
+        return EXIT_INFEASIBLE, None
     report["kernel"] = section
     report["warnings"] = list(doc.options.notes)
-    return _finish(report, args, EXIT_OK)
+    return EXIT_OK, None
 
 
 def cmd_gen(args) -> CommandResult:
@@ -552,18 +537,14 @@ def cmd_gen(args) -> CommandResult:
         levels=args.levels,
         max_compat=args.nu,
     )
-    output = canonical_json(doc)
-    report = {"command": "gen", "arguments": _echo_args(args), "generated": doc}
-    return CommandResult(report=report, output=output, code=EXIT_OK)
+    return CommandResult(output=canonical_json(doc), code=EXIT_OK)
 
 
-def cmd_report(args) -> CommandResult:
-    doc = parse_model_file(args.model)
+@_model_command
+def cmd_report(args, doc, report) -> tuple[int, str | None]:
     model = doc.model
-    report = _base_report("report", args, doc)
     report["validation"] = []
-    sections, outcome, root_ok = _synth_sections(doc, args.algorithm, args.layers)
-    report.update(sections)
+    outcome = _synth_sections(doc, args, report)
 
     nodes = [node for node in _leaf_parents(model) if node in outcome.frontiers]
     report["bottlenecks"] = {
@@ -586,7 +567,7 @@ def cmd_report(args) -> CommandResult:
                 for entry in entries
             ]
 
-    return _finish(report, args, EXIT_OK if root_ok else EXIT_INFEASIBLE)
+    return EXIT_OK if model.root in outcome.frontiers else EXIT_INFEASIBLE, None
 
 
 if __name__ == "__main__":

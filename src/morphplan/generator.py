@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 
+from .model import OrdinalScale
+
 
 def generate_document(
     seed: int = 0,
@@ -20,6 +22,7 @@ def generate_document(
     """
     if children < 1 or das < 1:
         raise ValueError("children and das must be >= 1")
+    OrdinalScale(levels, max_compat)  # out-of-range bounds fail before any draw
     rng = random.Random(seed)
     leaf_ids = [f"C{i + 1}" for i in range(children)]
     comps = []

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from morphplan.cli import build_parser, run_command
+from morphplan.cli import build_parser, main, run_command
 from morphplan.fixtures import fixture_path, fixture_text
 from morphplan.model import QualityVector
 from morphplan.reporting import estimate_scale_dot, frontier_dot
@@ -28,6 +28,13 @@ def solution_index(report, node):
         s["label"]: (s["w"], tuple(s["e"]), s["layer"])
         for s in report["frontiers"][node]["solutions"]
     }
+
+
+def run_main(capsys, argv):
+    """Exit code, stdout and stderr of ``morph argv``."""
+    code = main(argv)
+    streams = capsys.readouterr()
+    return code, streams.out, streams.err
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ def test_synth_dot_output_groups_by_w():
     assert "rank=same" in result.output
 
 
-def zero_model(tmp_path):
+def zero_model(tmp_path, notes=()):
     """A root whose only selection pairs at compatibility 0."""
     doc = {
         "morph_schema": 1,
@@ -87,6 +94,8 @@ def zero_model(tmp_path):
              "compat": {"default": 0, "pairs": [["a1", "b1", 0]]}},
         ],
     }
+    if notes:
+        doc["options"] = {"notes": list(notes)}
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -198,6 +207,25 @@ def test_validate_ok_fixture():
     assert result.code == 0
 
 
+def test_validate_json_of_a_broken_document_is_exact(tmp_path, capsys):
+    edit, diagnostic = BROKEN_KNAPSACKS["negative-cost"]
+    path = tmp_path / "broken.json"
+    path.write_text(knapsack_doc_text(edit))
+    expected = (
+        "{\n"
+        '  "arguments": {\n'
+        '    "format": "json",\n'
+        f'    "model": {json.dumps(str(path))}\n'
+        "  },\n"
+        '  "command": "validate",\n'
+        '  "validation": [\n'
+        f"    {json.dumps(diagnostic)}\n"
+        "  ]\n"
+        "}\n"
+    )
+    assert run_main(capsys, ["validate", str(path), "--format", "json"]) == (2, "", expected)
+
+
 def test_validate_reports_diagnostics(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
@@ -296,6 +324,14 @@ def test_bottlenecks_cover_reference_rows():
     assert w1 == {"E6: 2 => 1", "G6: 2 => 1", "I6: 2 => 1"}
 
 
+@pytest.mark.parametrize("node", ["A2", "E"], ids=["composite-children", "leaf"])
+def test_bottlenecks_node_must_have_only_leaf_children(capsys, node):
+    # A2's children are composites and E is a leaf: neither is a node
+    # whose selections pick design alternatives.
+    message = f"error: bottlenecks --node {node}: not a composite whose children are all leaves\n"
+    assert run_main(capsys, ["bottlenecks", ARK, "--node", node]) == (2, "", message)
+
+
 # ---------------------------------------------------------------------------
 # median
 # ---------------------------------------------------------------------------
@@ -322,9 +358,9 @@ def test_median_dot_is_the_twelve_node_scale():
     assert len(edges) == 14
 
 
-def test_median_without_estimates_is_a_usage_error():
-    result = run_command(["median", ARK])
-    assert result.code == 2
+def test_median_without_estimates_is_a_usage_error(capsys):
+    message = "error: node A2 has no estimate-carrying alternatives\n"
+    assert run_main(capsys, ["median", ARK]) == (2, "", message)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
@@ -362,6 +398,20 @@ def test_aggregate_all_catalogue_budgets_exact():
     report = json.loads(result.output)
     profits = {entry["budget"]: entry["total_profit"] for entry in report["aggregation"]}
     assert profits == {9: 10, 10: 11, 11: 12, 12: 13}
+
+
+def test_aggregate_without_knapsack_section_is_a_usage_error(capsys):
+    message = "error: model has no knapsack section\n"
+    assert run_main(capsys, ["aggregate", ARK, "--format", "json"]) == (2, "", message)
+
+
+def test_aggregate_without_any_budget_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(fixture_text("yamal_region"))
+    del doc["knapsack"]["budgets"]
+    path = tmp_path / "nobudget.json"
+    path.write_text(json.dumps(doc))
+    message = "error: no budget given and none in the model\n"
+    assert run_main(capsys, ["aggregate", str(path)]) == (2, "", message)
 
 
 def test_aggregate_infeasible_budget_exits_one():
@@ -430,6 +480,44 @@ def test_kernel_command_reports_agreement():
     assert supers["A2"] == [f"A2_{j}" for j in range(1, 7)]
 
 
+def test_kernel_on_an_infeasible_root_text(tmp_path, capsys):
+    path = zero_model(tmp_path, notes=["a document note"])
+    expected = (
+        "model N (root N, digest 38834002e847439a)\n"
+        "warning: root infeasible: no admissible selection\n"
+    )
+    assert run_main(capsys, ["kernel", path]) == (1, expected, "")
+
+
+def test_kernel_on_an_infeasible_root_json(tmp_path, capsys):
+    path = zero_model(tmp_path, notes=["a document note"])
+    expected = (
+        "{\n"
+        '  "arguments": {\n'
+        '    "algorithm": "dp",\n'
+        '    "format": "json",\n'
+        '    "layers": null,\n'
+        f'    "model": {json.dumps(path)},\n'
+        '    "threshold": 1.0\n'
+        "  },\n"
+        '  "command": "kernel",\n'
+        '  "model": {\n'
+        '    "digest": "38834002e847439a",\n'
+        '    "name": null,\n'
+        '    "root": "N",\n'
+        '    "scale": {\n'
+        '      "l": 3,\n'
+        '      "nu": 4\n'
+        "    }\n"
+        "  },\n"
+        '  "warnings": [\n'
+        '    "root infeasible: no admissible selection"\n'
+        "  ]\n"
+        "}\n"
+    )
+    assert run_main(capsys, ["kernel", path, "--format", "json"]) == (1, expected, "")
+
+
 # ---------------------------------------------------------------------------
 # gen / report
 # ---------------------------------------------------------------------------
@@ -441,6 +529,28 @@ def test_gen_is_deterministic_and_valid(tmp_path):
     assert first.output == second.output
     path = tmp_path / "gen.json"
     path.write_text(first.output)
+    assert run_command(["validate", str(path)]).code == 0
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--levels", "0", "levels must be in [1, 16]: 0"),
+        ("--levels", "17", "levels must be in [1, 16]: 17"),
+        ("--nu", "0", "max_compat must be in [1, 16]: 0"),
+        ("--nu", "17", "max_compat must be in [1, 16]: 17"),
+    ],
+    ids=["levels-0", "levels-17", "nu-0", "nu-17"],
+)
+def test_gen_scale_out_of_range_is_a_usage_error(capsys, flag, value, message):
+    assert run_main(capsys, ["gen", flag, value]) == (2, "", f"error: {message}\n")
+
+
+def test_gen_at_the_largest_scale_validates(tmp_path):
+    result = run_command(["gen", "--levels", "16", "--nu", "16"])
+    assert result.code == 0
+    path = tmp_path / "gen.json"
+    path.write_text(result.output)
     assert run_command(["validate", str(path)]).code == 0
 
 
