@@ -4,13 +4,16 @@ of solution sets.
 A solution can be improved one step at a time: promote a pick whose
 priority is below the best grade, or raise a compatibility entry that
 attains the solution's bottleneck w. Each candidate action carries the
-quality the solution would have after applying it. Across a set of
-solutions, the kernel is what they all agree on and the superstructure
-is everything any of them uses.
+quality the solution would have after it, worked out from the
+solution's own (w; e); ``apply_improvement`` is the what-if API that
+applies an action to a copy of the model. Across a set of solutions,
+the kernel is what they all agree on and the superstructure is
+everything any of them uses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Literal, Mapping, Sequence
 
@@ -20,6 +23,7 @@ from .model import (
     CompositeSolution,
     MorphError,
     MorphModel,
+    QualityVector,
     SolutionError,
     cumulative,
     system_quality,
@@ -43,7 +47,7 @@ class ImprovementAction:
     target: str | tuple[str, str]
     before: int
     after: int
-    new_quality: object  # QualityVector
+    new_quality: QualityVector
 
     def describe(self) -> str:
         if self.kind == "da-upgrade":
@@ -74,44 +78,39 @@ def bottlenecks(
 
     One da-upgrade per pick ranked 2 or worse, and one edge-upgrade per
     pick pair whose compatibility attains w while w is below the scale
-    top. Actions that strictly improve the quality come first, then
-    larger w gains, then larger count gains.
+    top. Each action's quality follows from the solution's (w; e): a
+    da-upgrade moves one count from level p to p-1, an edge-upgrade
+    raises the pairs under its key to w+1 (as ``apply_improvement``
+    does to a model). Actions that strictly improve the quality come
+    first, then larger w gains, then larger count gains.
     """
     node = model.component(solution.node)
-    picks = solution.picks_map()
-    base = system_quality(picks, node, model)
+    base = system_quality(solution.picks_map(), node, model)
+    w, e = base.w, base.e
 
     actions: list[ImprovementAction] = []
     for child_id, da_id in solution.picks:
-        da = model.component(child_id).da(da_id)
-        if da.priority >= 2:
-            action = ImprovementAction(
-                kind="da-upgrade",
-                component=child_id,
-                target=da_id,
-                before=da.priority,
-                after=da.priority - 1,
-                new_quality=None,
-            )
-            actions.append(_with_recomputed_quality(action, solution, model))
+        p = model.component(child_id).da(da_id).priority
+        if p >= 2:
+            counts = list(e)
+            counts[p - 1] -= 1
+            counts[p - 2] += 1
+            new = QualityVector(w, tuple(counts))
+            actions.append(ImprovementAction("da-upgrade", child_id, da_id, p, p - 1, new))
 
-    nu = model.scale.max_compat
-    w = base.w
-    if w < nu:
+    if w < model.scale.max_compat:
+        # A list, not a dict: sibling leaves may share an id, so one key
+        # can name several pairs, and each of them yields an action.
         pick_ids = [pick for _, pick in solution.picks]
-        for i in range(len(pick_ids)):
-            for j in range(i + 1, len(pick_ids)):
-                if model.compat_value(node, pick_ids[i], pick_ids[j]) == w:
-                    pair = CompatibilityTable.key(pick_ids[i], pick_ids[j])
-                    action = ImprovementAction(
-                        kind="edge-upgrade",
-                        component=node.id,
-                        target=pair,
-                        before=w,
-                        after=w + 1,
-                        new_quality=None,
-                    )
-                    actions.append(_with_recomputed_quality(action, solution, model))
+        pairs = [
+            (CompatibilityTable.key(a, b), model.compat_value(node, a, b))
+            for i, a in enumerate(pick_ids)
+            for b in pick_ids[i + 1 :]
+        ]
+        for target, value in pairs:
+            if value == w:
+                new = QualityVector(min(w + 1 if k == target else v for k, v in pairs), e)
+                actions.append(ImprovementAction("edge-upgrade", node.id, target, w, w + 1, new))
 
     def rank(action: ImprovementAction):
         new = action.new_quality
@@ -125,23 +124,14 @@ def bottlenecks(
     return actions
 
 
-def _with_recomputed_quality(
-    action: ImprovementAction, solution: CompositeSolution, model: MorphModel
-) -> ImprovementAction:
-    changed = apply_improvement(model, action)
-    node = changed.component(solution.node)
-    quality = system_quality(solution.picks_map(), node, changed)
-    return replace(action, new_quality=quality)
-
-
 # ---------------------------------------------------------------------------
 # Applying actions
 # ---------------------------------------------------------------------------
 
 
 def apply_improvement(model: MorphModel, action: ImprovementAction) -> MorphModel:
-    """A new model with the single ranked or compatibility value
-    changed; the input model is untouched."""
+    """The what-if API: a new model with the single ranked or
+    compatibility value changed; the input model is untouched."""
     if action.before == action.after:
         raise ImprovementError("no-op action (before == after)")
     if action.kind == "da-upgrade":
@@ -227,20 +217,15 @@ def kernel(
     if len(nodes) != 1:
         raise SolutionError(f"solutions score different nodes: {sorted(nodes)}")
     children = [cid for cid, _ in solutions[0].picks]
-    for s in solutions:
-        if [cid for cid, _ in s.picks] != children:
-            raise SolutionError("solutions cover different child sets")
+    if any([cid for cid, _ in s.picks] != children for s in solutions):
+        raise SolutionError("solutions cover different child sets")
 
     agreed: dict[str, str] = {}
     union: dict[str, tuple[str, ...]] = {}
-    n = len(solutions)
-    for child in children:
-        counts: dict[str, int] = {}
-        for s in solutions:
-            pick = s.pick_for(child)
-            counts[pick] = counts.get(pick, 0) + 1
+    for child, column in zip(children, zip(*(s.picks for s in solutions))):
+        counts = Counter(pick for _, pick in column)
         union[child] = tuple(sorted(counts))
-        best = max(sorted(counts), key=lambda p: counts[p])
-        if counts[best] >= threshold * n:
+        best = max(union[child], key=counts.__getitem__)
+        if counts[best] >= threshold * len(solutions):
             agreed[child] = best
     return KernelReport(node=nodes.pop(), kernel=agreed, superstructure=union)

@@ -456,6 +456,8 @@ def cmd_median(args, doc, report) -> tuple[int, str | None]:
     enforce = args.enforce_condition2 == "true"
     node_id = args.node or model.root
     node = model.component(node_id)
+    if node.is_leaf:
+        raise MorphError(f"component {node_id} is a leaf; nothing to compose")
     estimates = [
         da.estimate
         for cid in node.children

@@ -259,12 +259,6 @@ class CompositeSolution:
     def picks_map(self) -> dict[str, str]:
         return dict(self.picks)
 
-    def pick_for(self, child: str) -> str:
-        for cid, pick in self.picks:
-            if cid == child:
-                return pick
-        raise SolutionError(f"solution has no pick for child {child!r}")
-
 
 # ---------------------------------------------------------------------------
 # Scoring
@@ -348,14 +342,12 @@ def validate_model(model: MorphModel) -> ValidationReport:
     # Tree shape: every component reachable from the root exactly once.
     seen: dict[str, str] = {}
     stack: list[tuple[str, str]] = [(model.root, "")] if model.root in model.components else []
-    order: list[str] = []
     while stack:
         cid, parent = stack.pop()
         if cid in seen:
             bad("tree-shape", cid, f"reached from both {seen[cid]!r} and {parent!r}")
             continue
         seen[cid] = parent
-        order.append(cid)
         comp = model.components.get(cid)
         if comp is None:
             bad("child-missing", cid, f"child of {parent!r} is not defined")

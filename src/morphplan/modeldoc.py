@@ -448,7 +448,7 @@ def document_to_dict(doc: ModelDocument) -> dict:
     if doc.knapsack is not None:
         ks = doc.knapsack
         out["knapsack"] = {
-            "kernel": dict(sorted(ks.kernel.items())),
+            "kernel": dict(ks.kernel),
             "groups": [
                 {
                     "id": group[0].group,
@@ -477,7 +477,7 @@ def document_to_dict(doc: ModelDocument) -> dict:
                 {
                     "name": exp.name,
                     "node": exp.node,
-                    "picks": dict(sorted(exp.picks.items())),
+                    "picks": dict(exp.picks),
                     "quality": {"w": exp.w, "e": list(exp.e)},
                     **({"kind": exp.kind} if exp.kind != "ordinal" else {}),
                     **({"note": exp.note} if exp.note else {}),
@@ -495,7 +495,7 @@ def _component_to_dict(comp: Component) -> dict:
         for da in comp.das:
             dout: dict[str, Any] = {"id": da.id, "priority": da.priority}
             if da.annotations:
-                dout["annotations"] = dict(sorted(da.annotations.items()))
+                dout["annotations"] = dict(da.annotations)
             if da.estimate is not None:
                 dout["estimate"] = list(da.estimate)
             das.append(dout)
@@ -511,7 +511,7 @@ def _component_to_dict(comp: Component) -> dict:
             ],
         }
     if comp.priority_overrides:
-        out["priority_overrides"] = dict(sorted(comp.priority_overrides.items()))
+        out["priority_overrides"] = dict(comp.priority_overrides)
     return out
 
 

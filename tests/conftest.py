@@ -9,11 +9,13 @@ from typing import Sequence
 
 import pytest
 
+from morphplan.analysis import ImprovementAction, apply_improvement
 from morphplan.estimates import Estimate, MedianResult, _edits, enumerate_estimates
 from morphplan.fixtures import fixture_text
 from morphplan.model import (
     CompatibilityTable,
     Component,
+    CompositeSolution,
     DesignAlternative,
     MorphModel,
     OrdinalScale,
@@ -83,6 +85,59 @@ def random_node_model(seed: int, max_children: int = 6, max_das: int = 6) -> Mor
                         pairs.append((a, b, value))
     default = rng.choice([0, 1, 4])
     return node_model(leaves, pairs, default=default)
+
+
+def bottlenecks_by_rebuild(solution: CompositeSolution, model: MorphModel) -> list:
+    """Reference for ``bottlenecks``: the same actions, each scored by
+    rebuilding the model with ``apply_improvement`` and scoring the
+    solution again, in the same rank order."""
+    node = model.component(solution.node)
+    base = system_quality(solution.picks_map(), node, model)
+    drafts = [
+        ("da-upgrade", cid, pick, da.priority, da.priority - 1)
+        for cid, pick in solution.picks
+        if (da := model.component(cid).da(pick)).priority >= 2
+    ]
+    if base.w < model.scale.max_compat:
+        ids = [pick for _, pick in solution.picks]
+        drafts += [
+            ("edge-upgrade", node.id, CompatibilityTable.key(a, b), base.w, base.w + 1)
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+            if model.compat_value(node, a, b) == base.w
+        ]
+    actions = []
+    for draft in drafts:
+        changed = apply_improvement(model, ImprovementAction(*draft, new_quality=None))
+        quality = system_quality(solution.picks_map(), changed.component(node.id), changed)
+        actions.append(ImprovementAction(*draft, new_quality=quality))
+
+    def rank(action):
+        new = action.new_quality
+        target = action.target if isinstance(action.target, str) else ",".join(action.target)
+        return (
+            not new.strictly_dominates(base),
+            base.w - new.w,
+            sum(cumulative(base.e)) - sum(cumulative(new.e)),
+            action.kind,
+            target,
+        )
+
+    return sorted(actions, key=rank)
+
+
+def kernel_by_dicts(solutions: Sequence[CompositeSolution], threshold: float) -> tuple:
+    """Reference for ``kernel``: (kernel, superstructure) from each
+    solution's picks looked up by child id."""
+    maps = [sol.picks_map() for sol in solutions]
+    agreed, union = {}, {}
+    for child in maps[0]:
+        picks = [m[child] for m in maps]
+        union[child] = tuple(sorted(set(picks)))
+        best = max(union[child], key=picks.count)
+        if picks.count(best) >= threshold * len(maps):
+            agreed[child] = best
+    return agreed, union
 
 
 def admissible_by_product(node: Component, model: MorphModel) -> list:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphplan.analysis import (
     ImprovementAction,
@@ -14,13 +16,67 @@ from morphplan.analysis import (
     kernel,
 )
 from morphplan.model import (
+    CompatibilityTable,
+    Component,
     CompositeSolution,
+    DesignAlternative,
+    MorphModel,
+    OrdinalScale,
     QualityVector,
     n_dominates,
     system_quality,
 )
 from morphplan.synthesis import enumerate_admissible, hierarchical_synthesize
-from tests.conftest import node_model, random_node_model
+from tests.conftest import (
+    bottlenecks_by_rebuild,
+    kernel_by_dicts,
+    node_model,
+    random_node_model,
+)
+
+oracle_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def leaf_parent_solutions(draw, count=1):
+    """A root over one or two leaf-parent nodes, and ``count`` random
+    pick sets of one of them. Sibling leaves draw ids from one small
+    pool, so they may share an id; a table may be absent, list few
+    pairs (the rest take the default) or hold only the top grade, and
+    a node may have a single child."""
+    levels, nu = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    comps: dict[str, Component] = {}
+    parts = []
+    for part in ("A", "B")[: draw(st.integers(1, 2))]:
+        children = []
+        for i in range(draw(st.integers(1, 4))):
+            ids = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))
+            cid = f"{part}{i}"
+            comps[cid] = Component(
+                id=cid,
+                das=tuple(DesignAlternative(d, draw(st.integers(1, levels))) for d in ids),
+            )
+            children.append(cid)
+        table = None
+        if draw(st.booleans()):
+            ids = sorted({da.id for cid in children for da in comps[cid].das})
+            pairs = [
+                (a, b, draw(st.integers(0, nu)))
+                for i, a in enumerate(ids)
+                for b in ids[i:]
+                if draw(st.booleans())
+            ]
+            table = CompatibilityTable.from_pairs(pairs, default=draw(st.integers(0, nu)))
+        comps[part] = Component(id=part, children=tuple(children), compat=table)
+        parts.append(part)
+    comps["R"] = Component(id="R", children=tuple(parts))
+    model = MorphModel(OrdinalScale(levels, nu), "R", comps)
+    node = comps[draw(st.sampled_from(parts))]
+    solutions = []
+    for _ in range(count):
+        picks = {c: draw(st.sampled_from([da.id for da in comps[c].das])) for c in node.children}
+        solutions.append(make_solution(model, node.id, picks))
+    return model, solutions
 
 
 def make_solution(model, node_id, picks):
@@ -92,6 +148,19 @@ def test_strictly_improving_actions_sort_first(arkticheskoe):
     strict = [a.new_quality.strictly_dominates(w1.quality) for a in actions]
     # once a non-improving action appears, no improving one may follow
     assert strict == sorted(strict, reverse=True)
+
+
+@oracle_settings
+@given(leaf_parent_solutions())
+def test_action_quality_matches_the_rebuilt_model(case):
+    model, (solution,) = case
+    node = model.component(solution.node)
+    actions = bottlenecks(solution, model)
+    for action in actions:
+        changed = apply_improvement(model, action)
+        rescored = system_quality(solution.picks_map(), changed.component(node.id), changed)
+        assert action.new_quality == rescored, action
+    assert actions == bottlenecks_by_rebuild(solution, model)
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +305,11 @@ def test_kernel_bounds_every_solution(seed):
             assert picks[child] == agreed_pick
         for child, pick in picks.items():
             assert pick in report.superstructure[child]
+
+
+@oracle_settings
+@given(leaf_parent_solutions(count=5), st.floats(0.01, 1.0))
+def test_kernel_matches_a_lookup_by_child(case, threshold):
+    _, solutions = case
+    report = kernel(solutions, threshold=threshold)
+    assert (report.kernel, report.superstructure) == kernel_by_dicts(solutions, threshold)

@@ -364,6 +364,13 @@ def test_median_without_estimates_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_median_on_a_leaf_is_a_usage_error(capsys, fmt):
+    message = "error: component E is a leaf; nothing to compose\n"
+    argv = ["median", MULTI, "--node", "E", "--format", fmt]
+    assert run_main(capsys, argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_median_of_all_zero_estimates_is_a_usage_error(tmp_path, fmt):
     doc = json.loads(fixture_text("arkticheskoe_multiset"))
     for comp in doc["components"]:
