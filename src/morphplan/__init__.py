@@ -62,7 +62,6 @@ from .modeldoc import (
 )
 from .reporting import estimate_scale_dot, frontier_dot, render_json, render_text
 from .synthesis import (
-    Candidate,
     Frontier,
     SynthesisOutcome,
     enumerate_admissible,

@@ -11,7 +11,7 @@
     morph gen         [--seed N] [--children M] [--das D] [--levels L] [--nu V]
     morph report      model.json [...]
 
-All commands take --format text|json|dot (dot where a poset exists).
+Every command but gen takes --format text|json|dot (dot where a poset exists).
 Exit codes: 0 success, 1 infeasibility, 2 usage or parse error.
 """
 
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--das", type=int, default=3)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--nu", type=int, default=4)
-    fmt(p, ("text", "json"))
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("report", help="full run: everything the model supports")
@@ -458,14 +457,14 @@ def cmd_median(args, doc, report) -> tuple[int, str | None]:
     node = model.component(node_id)
     if node.is_leaf:
         raise MorphError(f"component {node_id} is a leaf; nothing to compose")
-    estimates = [
-        da.estimate
-        for cid in node.children
-        for da in model.component(cid).das
-        if da.estimate is not None
-    ]
-    if not estimates:
+    children = [model.component(cid) for cid in node.children]
+    estimates = [da.estimate for child in children for da in child.das if da.estimate is not None]
+    # Only leaves carry alternatives: a leaf child without estimates
+    # means the document has none; otherwise the node's shape is wrong.
+    if not estimates and any(child.is_leaf for child in children):
         raise MorphError(f"node {node_id} has no estimate-carrying alternatives")
+    if node_id not in _leaf_parents(model):
+        raise MorphError(f"node {node_id} is not a composite whose children are all leaves")
     levels = len(estimates[0])
     eta = sum(estimates[0])
 

@@ -24,6 +24,7 @@ from typing import Iterator, Mapping, Sequence
 from .model import (
     Component,
     CompositeSolution,
+    DesignAlternative,
     InvalidComparisonError,
     MorphModel,
     QualityVector,
@@ -32,11 +33,10 @@ from .model import (
     cumulative,
 )
 from .synthesis import (
-    Candidate,
     Frontier,
     QualityKey,
-    _admissible_states,
-    _child_candidates,
+    admissible_states,
+    child_candidates,
     pareto_filter,
     quality_key,
 )
@@ -338,7 +338,7 @@ def _suffix_min(rows: list[Row | None]) -> list[Row | None]:
 def multiset_synthesize(
     node: Component,
     model: MorphModel,
-    candidates: Mapping[str, Sequence[Candidate]] | None = None,
+    candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
     enforce_gap_rule: bool = True,
     metric: str = "max",
 ) -> Frontier:
@@ -350,7 +350,7 @@ def multiset_synthesize(
     Dominance for layering requires better-or-equal w, dominated-or-
     equal consensus counts, and no larger deviation.
     """
-    lists = _child_candidates(node, model, candidates)
+    lists = child_candidates(node, model, candidates)
     for child_id, cands in lists:
         for cand in cands:
             if cand.estimate is None:
@@ -360,7 +360,7 @@ def multiset_synthesize(
     check_counts(cand.estimate for _, cands in lists for cand in cands)
 
     solutions = []
-    for picks, w, _ in _admissible_states(node, model, lists):
+    for picks, w, _ in admissible_states(node, model, lists):
         chosen = [cands[a] for (_, cands), a in zip(lists, picks)]
         median = generalized_median(
             [c.estimate for c in chosen],

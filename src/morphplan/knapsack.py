@@ -105,8 +105,8 @@ class Selection:
 def _ratio_key(item: ChoiceItem):
     # Free profit sorts first; otherwise larger profit/cost first.
     if item.cost == 0:
-        return (0, -Fraction(item.profit))
-    return (1, -Fraction(item.profit) / Fraction(item.cost))
+        return (0, -item.profit)
+    return (1, Fraction(-item.profit, item.cost))
 
 
 def greedy_mckp(instance: KnapsackInstance) -> Selection:

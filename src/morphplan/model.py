@@ -138,7 +138,9 @@ class OrdinalScale:
 
 @dataclass(frozen=True)
 class DesignAlternative:
-    """One local option for a leaf component."""
+    """One option a composite can pick for a child: a leaf's own
+    alternative, or a retained solution of a composite child offered
+    under its label."""
 
     id: str
     priority: int

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .model import CompositeSolution, QualityVector, check_counts, cumulative
 from .modeldoc import canonical_json
-from .synthesis import Frontier, QualityKey, _dominates, quality_key
+from .synthesis import Frontier, QualityKey, dominates, quality_key
 
 
 def render_json(report: dict) -> str:
@@ -102,7 +102,7 @@ def cover_edges(keys: Sequence[QualityKey]) -> list[tuple[int, int]]:
     i -> j when i beats j with nothing strictly between them."""
     n = len(keys)
     strict = [
-        [keys[i] != keys[j] and _dominates(keys[i], keys[j]) for j in range(n)]
+        [keys[i] != keys[j] and dominates(keys[i], keys[j]) for j in range(n)]
         for i in range(n)
     ]
     edges = []

@@ -4,8 +4,9 @@ One left-to-right walk over the children produces a node's admissible
 selections, under one of two prune policies: none (full enumeration,
 the brute-force oracle) or group dominance, which discards partial
 selections that can no longer reach the efficient layer. Whole trees
-are solved bottom-up: the retained solutions of a composite node
-become ranked candidates for its parent.
+are solved bottom-up: each retained solution of a composite node
+becomes a design alternative of its parent, with the solution label
+as id and its layer (or a pinned override) as priority.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .model import (
     Component,
     CompositeSolution,
+    DesignAlternative,
     InfeasibleNodeError,
     MorphModel,
     QualityVector,
@@ -23,16 +25,6 @@ from .model import (
     check_counts,
     cumulative,
 )
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A pickable option for one child: a leaf alternative or a
-    previously synthesized solution offered under a label."""
-
-    id: str
-    priority: int
-    estimate: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -59,21 +51,16 @@ class Frontier:
         return None
 
 
-def leaf_candidates(component: Component) -> tuple[Candidate, ...]:
-    return tuple(
-        Candidate(id=da.id, priority=da.priority, estimate=da.estimate)
-        for da in component.das
-    )
-
-
-def _child_candidates(
+def child_candidates(
     node: Component,
     model: MorphModel,
-    candidates: Mapping[str, Sequence[Candidate]] | None,
-) -> list[tuple[str, tuple[Candidate, ...]]]:
+    candidates: Mapping[str, Sequence[DesignAlternative]] | None,
+) -> list[tuple[str, tuple[DesignAlternative, ...]]]:
+    """Each child's options, in child order: its entry in ``candidates``
+    or, for a leaf, its own alternatives."""
     if node.is_leaf:
         raise SolutionError(f"component {node.id} is a leaf; nothing to compose")
-    lists: list[tuple[str, tuple[Candidate, ...]]] = []
+    lists: list[tuple[str, tuple[DesignAlternative, ...]]] = []
     for child_id in node.children:
         if candidates is not None and child_id in candidates:
             cands = tuple(candidates[child_id])
@@ -84,7 +71,7 @@ def _child_candidates(
                     f"child {child_id!r} of {node.id} is composite; "
                     "synthesize it first or pass candidates"
                 )
-            cands = leaf_candidates(child)
+            cands = child.das
         if not cands:
             raise InfeasibleNodeError(node.id, f"child {child_id!r} offers no candidates")
         lists.append((child_id, cands))
@@ -113,10 +100,10 @@ def solution_sort_key(sol: CompositeSolution):
 _State = tuple[tuple[int, ...], int, tuple[int, ...]]
 
 
-def _admissible_states(
+def admissible_states(
     node: Component,
     model: MorphModel,
-    lists: Sequence[tuple[str, tuple[Candidate, ...]]],
+    lists: Sequence[tuple[str, tuple[DesignAlternative, ...]]],
     linked: Sequence[Sequence[bool]] | None = None,
 ) -> list[_State]:
     """Fold the children left to right into the admissible selections:
@@ -171,7 +158,7 @@ def _admissible_states(
 
 def _solutions(
     node: Component,
-    lists: Sequence[tuple[str, tuple[Candidate, ...]]],
+    lists: Sequence[tuple[str, tuple[DesignAlternative, ...]]],
     states: Iterable[_State],
 ) -> list[CompositeSolution]:
     named = [[(child_id, cand.id) for cand in cands] for child_id, cands in lists]
@@ -188,15 +175,15 @@ def _solutions(
 def enumerate_admissible(
     node: Component,
     model: MorphModel,
-    candidates: Mapping[str, Sequence[Candidate]] | None = None,
+    candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
 ) -> list[CompositeSolution]:
     """All selections of one candidate per child with w >= 1.
 
     Prefixes hitting a zero-compatibility pair are cut immediately,
     so the walk touches only selections that can still be admissible.
     """
-    lists = _child_candidates(node, model, candidates)
-    out = _solutions(node, lists, _admissible_states(node, model, lists))
+    lists = child_candidates(node, model, candidates)
+    out = _solutions(node, lists, admissible_states(node, model, lists))
     out.sort(key=solution_sort_key)
     return out
 
@@ -215,7 +202,8 @@ def quality_key(sol: CompositeSolution) -> QualityKey:
     return (sol.quality.w, *cumulative(sol.quality.e))
 
 
-def _dominates(a: QualityKey, b: QualityKey) -> bool:
+def dominates(a: QualityKey, b: QualityKey) -> bool:
+    """Key a is at least key b in every coordinate."""
     return all(x >= y for x, y in zip(a, b))
 
 
@@ -229,7 +217,7 @@ def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
     layer_of: dict[QualityKey, int] = {}
     for key in sorted(set(keys), reverse=True):
         layer_of[key] = 1 + max(
-            (layer for k, layer in layer_of.items() if _dominates(k, key)), default=0
+            (layer for k, layer in layer_of.items() if dominates(k, key)), default=0
         )
     return layer_of
 
@@ -290,7 +278,7 @@ def pareto_filter(
 def synthesize_dp(
     node: Component,
     model: MorphModel,
-    candidates: Mapping[str, Sequence[Candidate]] | None = None,
+    candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
 ) -> Frontier:
     """Fold the children left to right, keeping only partial selections
     that can still reach the efficient layer.
@@ -302,7 +290,7 @@ def synthesize_dp(
     completion of the winner. The layer-1 set equals full enumeration's;
     deeper layers may come back thinner.
     """
-    lists = _child_candidates(node, model, candidates)
+    lists = child_candidates(node, model, candidates)
     n = len(lists)
 
     # linked[i][j]: the table names some pair between a candidate of
@@ -322,7 +310,7 @@ def synthesize_dp(
                     if ia != ib:
                         linked[ia][ib] = linked[ib][ia] = True
 
-    states = _admissible_states(node, model, lists, linked)
+    states = admissible_states(node, model, lists, linked)
     return pareto_filter(_solutions(node, lists, states))
 
 
@@ -341,7 +329,7 @@ def _prune_group(group: list) -> list:
     beaten = {
         q
         for q, a in keys.items()
-        if any(b[1:] != a[1:] and _dominates(b, a) for b in keys.values())
+        if any(b[1:] != a[1:] and dominates(b, a) for b in keys.values())
     }
     return [st for st in group if (st[1], st[2]) not in beaten]
 
@@ -361,21 +349,9 @@ class SynthesisOutcome:
 
 def leaf_frontier(component: Component, model: MorphModel) -> Frontier:
     """A leaf passes its alternatives through as single-pick solutions."""
-    solutions = [
-        CompositeSolution(
-            node=component.id,
-            picks=((component.id, da.id),),
-            quality=QualityVector(
-                w=model.scale.max_compat,
-                e=tuple(
-                    1 if i == da.priority - 1 else 0
-                    for i in range(model.scale.levels)
-                ),
-            ),
-        )
-        for da in component.das
-    ]
-    return pareto_filter(solutions)
+    lists = [(component.id, component.das)]
+    states = admissible_states(component, model, lists)
+    return pareto_filter(_solutions(component, lists, states))
 
 
 def hierarchical_synthesize(
@@ -401,12 +377,11 @@ def hierarchical_synthesize(
     if algorithm not in ("dp", "brute"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     outcome = SynthesisOutcome()
-    candidates: dict[str, tuple[Candidate, ...]] = {}
+    candidates: dict[str, tuple[DesignAlternative, ...]] = {}
 
     for comp in model.postorder():
         if comp.is_leaf:
             outcome.frontiers[comp.id] = leaf_frontier(comp, model)
-            candidates[comp.id] = leaf_candidates(comp)
             continue
         dead = [c for c in comp.children if c in outcome.infeasible]
         if dead:
@@ -433,12 +408,12 @@ def _retained_candidates(
     model: MorphModel,
     frontier: Frontier,
     max_layers: int | None,
-) -> tuple[Candidate, ...]:
+) -> tuple[DesignAlternative, ...]:
     levels = model.scale.levels
-    retained: list[Candidate] = []
+    retained: list[DesignAlternative] = []
     for sol, layer in zip(frontier.solutions, frontier.layers):
         if max_layers is not None and layer > max_layers:
             continue
         priority = comp.priority_overrides.get(sol.label, min(layer, levels))
-        retained.append(Candidate(id=sol.label, priority=priority))
+        retained.append(DesignAlternative(id=sol.label, priority=priority))
     return tuple(retained)

@@ -371,6 +371,28 @@ def test_median_on_a_leaf_is_a_usage_error(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_median_over_a_composite_child_is_a_usage_error(capsys, tmp_path, fmt):
+    # S over a leaf X with estimates and the composite W.
+    doc = json.loads(fixture_text("arkticheskoe_multiset"))
+    doc["root"] = "S"
+    doc["components"] += [
+        {"id": "X", "kind": "leaf", "das": [{"id": "X1", "priority": 1, "estimate": [4, 0, 0]}]},
+        {"id": "S", "kind": "composite", "children": ["X", "W"], "compat": {"default": 1, "pairs": []}},
+    ]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]).code == 0
+    message = "error: node S is not a composite whose children are all leaves\n"
+    assert run_main(capsys, ["median", str(path), "--format", fmt]) == (2, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_median_over_composite_children_only_is_a_usage_error(capsys, fmt):
+    message = "error: node A4 is not a composite whose children are all leaves\n"
+    assert run_main(capsys, ["median", KRU, "--format", fmt]) == (2, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_median_of_all_zero_estimates_is_a_usage_error(tmp_path, fmt):
     doc = json.loads(fixture_text("arkticheskoe_multiset"))
     for comp in doc["components"]:
@@ -537,6 +559,13 @@ def test_gen_is_deterministic_and_valid(tmp_path):
     path = tmp_path / "gen.json"
     path.write_text(first.output)
     assert run_command(["validate", str(path)]).code == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gen_takes_no_format(capsys, fmt):
+    code, out, err = run_main(capsys, ["gen", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"morph: error: unrecognized arguments: --format {fmt}\n")
 
 
 @pytest.mark.parametrize(

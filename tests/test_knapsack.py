@@ -17,7 +17,6 @@ from morphplan.knapsack import (
     KnapsackError,
     KnapsackInstance,
     Selection,
-    _ratio_key,
     exact_mckp,
     extend_kernel,
     greedy_mckp,
@@ -200,6 +199,14 @@ def test_greedy_is_feasible_and_never_beats_exact(seed):
     assert greedy.total_profit <= optima[0].total_profit
 
 
+def reference_ratio_key(item: ChoiceItem):
+    """The ratio order written apart from ``greedy_mckp``'s key: free
+    profit first, then larger profit/cost, as a quotient of Fractions."""
+    if item.cost == 0:
+        return (0, -Fraction(item.profit))
+    return (1, -Fraction(item.profit) / Fraction(item.cost))
+
+
 def greedy_summing_reserve(instance: KnapsackInstance) -> Selection:
     """The greedy pass with the reserve summed over the other unfilled
     groups for every item: the quadratic rule that the running total
@@ -208,7 +215,7 @@ def greedy_summing_reserve(instance: KnapsackInstance) -> Selection:
         return Selection.infeasible()
     order = sorted(
         (item for group in instance.groups for item in group),
-        key=lambda it: (_ratio_key(it), -it.profit, it.cost, it.id),
+        key=lambda it: (reference_ratio_key(it), -it.profit, it.cost, it.id),
     )
     min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
     unfilled = set(min_cost)
