@@ -406,7 +406,8 @@ def _validate_table(model: MorphModel, comp: Component, bad, nu: int) -> None:
     if not 0 <= table.default <= nu:
         bad("compat-range", where, f"default {table.default} out of [0, {nu}]")
     # Owner children of each referenced alternative id; sibling leaves
-    # may share an id, and the fold applies a pair to every owner.
+    # may share an id, and a listed pair scores the two ids under
+    # whichever children offer them.
     # Tables may only name alternatives of leaf children; composite
     # children contribute synthesized candidates whose pairs always take
     # the default.

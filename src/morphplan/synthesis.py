@@ -1,10 +1,10 @@
 """Composition of admissible selections and Pareto-efficient frontiers.
 
-One left-to-right walk over the children produces a node's admissible
-selections, under one of two prune policies: none (full enumeration,
-the brute-force oracle) or group dominance, which discards partial
-selections that can no longer reach the efficient layer. Whole trees
-are solved bottom-up: each retained solution of a composite node
+Two ways compose a node's children. A left-to-right walk lists every
+admissible selection: the brute-force oracle, also used by estimate
+synthesis. A depth-first branch and bound (the fold) reaches only the
+selections that no other admissible selection strictly beats. Whole
+trees are solved bottom-up: each retained solution of a composite node
 becomes a design alternative of its parent, with the solution label
 as id and its layer (or a pinned override) as priority.
 """
@@ -12,6 +12,8 @@ as id and its layer (or a pinned override) as priority.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add, attrgetter, ge
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
@@ -99,60 +101,65 @@ def solution_sort_key(sol: CompositeSolution):
 # per priority level.
 _State = tuple[tuple[int, ...], int, tuple[int, ...]]
 
+# compat[k][i][a][b]: candidate a of child i against candidate b of
+# child k, for i < k.
+_Matrix = list[list[list[list[int]]]]
+
+
+def _compat_matrix(
+    node: Component, model: MorphModel, cands: Sequence[Sequence[DesignAlternative]]
+) -> _Matrix | None:
+    """Every pair the node's table scores, filled once per node. None
+    for a node without a table: every pair is then ``max_compat``, and
+    the running w never leaves it."""
+    if node.compat is None:
+        return None
+    return [
+        [
+            [[model.compat_value(node, a.id, b.id) for b in cands[k]] for a in cands[i]]
+            for i in range(k)
+        ]
+        for k in range(len(cands))
+    ]
+
+
+def _extend(
+    state: _State, options: Sequence[DesignAlternative], compat: _Matrix | None
+) -> list[_State]:
+    """The state with one more pick, each of ``options`` in turn, for
+    the child after its picks: w drops to the least compatibility with
+    a pick so far, and a pick that meets a zero is cut."""
+    picks, w, counts = state
+    rows = () if compat is None else [col[a] for col, a in zip(compat[len(picks)], picks)]
+    out = []
+    for b, cand in enumerate(options):
+        wv = w
+        for row in rows:
+            if row[b] < wv:
+                wv = row[b]
+                if wv == 0:
+                    break
+        if wv:
+            cnt = list(counts)
+            cnt[cand.priority - 1] += 1
+            out.append((picks + (b,), wv, tuple(cnt)))
+    return out
+
 
 def admissible_states(
     node: Component,
     model: MorphModel,
     lists: Sequence[tuple[str, tuple[DesignAlternative, ...]]],
-    linked: Sequence[Sequence[bool]] | None = None,
 ) -> list[_State]:
-    """Fold the children left to right into the admissible selections:
+    """Every admissible selection, walking the children left to right:
     add one candidate per child, keep the minimum pairwise
     compatibility as w, count the picks per priority level, and cut a
-    pick at the first zero.
-
-    Without ``linked`` every admissible selection comes back. With it
-    (``linked[i][j]``: the pick at child i matters while child j is
-    open), each step groups the states by their picks at positions
-    still linked to a later child and drops what ``_prune_group``
-    evicts from each group.
-    """
+    pick at the first zero."""
     cands = [c for _, c in lists]
-    n = len(cands)
-    # compat[k][i][a][b]: candidate a of child i against candidate b of
-    # child k, for i < k; filled once per node.
-    compat = [
-        [
-            [[model.compat_value(node, a.id, b.id) for b in cands[k]] for a in cands[i]]
-            for i in range(k)
-        ]
-        for k in range(n)
-    ]
+    compat = _compat_matrix(node, model, cands)
     states: list[_State] = [((), model.scale.max_compat, (0,) * model.scale.levels)]
-    for k in range(n):
-        grown: list[_State] = []
-        for picks, w, counts in states:
-            rows = [compat[k][i][a] for i, a in enumerate(picks)]
-            for b, cand in enumerate(cands[k]):
-                wv = w
-                for row in rows:
-                    if row[b] < wv:
-                        wv = row[b]
-                        if wv == 0:
-                            break
-                if wv == 0:
-                    continue
-                cnt = list(counts)
-                cnt[cand.priority - 1] += 1
-                grown.append((picks + (b,), wv, tuple(cnt)))
-        if linked is not None:
-            keep_pos = [i for i in range(k + 1) if any(linked[i][k + 1 :])]
-            groups: dict[tuple[str, ...], list[_State]] = {}
-            for st in grown:
-                key = tuple(cands[i][st[0][i]].id for i in keep_pos)
-                groups.setdefault(key, []).append(st)
-            grown = [st for group in groups.values() for st in _prune_group(group)]
-        states = grown
+    for options in cands:
+        states = [st for state in states for st in _extend(state, options, compat)]
     return states
 
 
@@ -204,7 +211,7 @@ def quality_key(sol: CompositeSolution) -> QualityKey:
 
 def dominates(a: QualityKey, b: QualityKey) -> bool:
     """Key a is at least key b in every coordinate."""
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
@@ -280,57 +287,76 @@ def synthesize_dp(
     model: MorphModel,
     candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
 ) -> Frontier:
-    """Fold the children left to right, keeping only partial selections
-    that can still reach the efficient layer.
+    """The admissible selections that no other admissible selection
+    strictly beats under the ``_prune_group`` rule, layered.
 
-    A partial selection is discarded when another one agrees on every
-    pick that can still influence a future compatibility lookup, has at
-    least the same running w, and strictly better counts: every
-    completion of the loser is then strictly dominated by the same
-    completion of the winner. The layer-1 set equals full enumeration's;
-    deeper layers may come back thinner.
+    A depth-first branch and bound over the children, on an explicit
+    stack, trying each child's candidates best priority first. A
+    partial selection's optimistic completion is its running w and its
+    prefix sums with every open child at its best priority; no
+    completion scores above it. The partial selection is dropped as
+    soon as a complete selection found so far strictly beats that
+    bound, since that selection then strictly beats every completion.
+    The found keys are kept reduced to those that nothing found
+    strictly beats, and one ``_prune_group`` over the survivors drops
+    what later finds beat. The layer-1 set equals full enumeration's;
+    deeper layers are those of the kept set, so they may come back
+    thinner.
     """
-    lists = child_candidates(node, model, candidates)
-    n = len(lists)
+    # Best priority first; ties keep the child's order.
+    lists = [
+        (child_id, tuple(sorted(options, key=attrgetter("priority"))))
+        for child_id, options in child_candidates(node, model, candidates)
+    ]
+    cands = [c for _, c in lists]
+    n, levels = len(cands), model.scale.levels
+    compat = _compat_matrix(node, model, cands)
 
-    # linked[i][j]: the table names some pair between a candidate of
-    # child i and one of child j, so the pick at i matters while j is
-    # still open. Two children may offer the same id, and each of them
-    # is linked. Default-valued pairs are pick-independent and never
-    # pin a position.
-    owners: dict[str, set[int]] = {}
-    for idx, (_, cands) in enumerate(lists):
-        for cand in cands:
-            owners.setdefault(cand.id, set()).add(idx)
-    linked = [[False] * n for _ in range(n)]
-    if node.compat is not None:
-        for a, b in node.compat.entries:
-            for ia in owners.get(a, ()):
-                for ib in owners.get(b, ()):
-                    if ia != ib:
-                        linked[ia][ib] = linked[ib][ia] = True
+    # suffix[k]: the prefix sums of children k.. each at its best priority.
+    suffix = [(0,) * levels]
+    for options in reversed(cands):
+        best = options[0].priority
+        suffix.append(tuple(s + (j >= best - 1) for j, s in enumerate(suffix[-1])))
+    suffix.reverse()
 
-    states = admissible_states(node, model, lists, linked)
-    return pareto_filter(_solutions(node, lists, states))
+    stack: list[_State] = [((), model.scale.max_compat, (0,) * levels)]
+    archive: list[QualityKey] = []
+    found: list[_State] = []
+    while stack:
+        state = stack.pop()
+        picks, w, counts = state
+        k = len(picks)
+        bound = (w, *map(add, accumulate(counts), suffix[k]))
+        if any(_beats(key, bound) for key in archive):
+            continue
+        if k < n:
+            stack.extend(reversed(_extend(state, cands[k], compat)))
+        else:
+            found.append(state)
+            if bound not in archive:
+                archive = [key for key in archive if not _beats(bound, key)]
+                archive.append(bound)
+    return pareto_filter(_solutions(node, lists, _prune_group(found)))
+
+
+def _beats(b: QualityKey, a: QualityKey) -> bool:
+    """Key b strictly beats key a: at least as large everywhere, with
+    strictly better counts.
+
+    Equal counts with larger w do not beat, so a selection that loses
+    only on w stays with the fold's survivors, on a deeper layer.
+    """
+    return b[1:] != a[1:] and dominates(b, a)
 
 
 def _prune_group(group: list) -> list:
-    """Drop the states of an equivalence group whose (w; e) is strictly
-    beaten by another distinct (w; e) in the group.
-
-    Only strictly better counts may evict (with w at least as large):
-    equal counts with larger w do not, because a later zero-free
-    bottleneck can level the w values and leave both selections tied
-    on the frontier. Each distinct quality is keyed and compared once.
-    """
+    """Drop the states whose (w; e) another distinct (w; e) in the
+    group strictly beats (``_beats``). Each distinct quality is keyed
+    and compared once."""
     if len(group) == 1:
         return group
     keys = {(w, e): (w, *cumulative(e)) for _, w, e in group}
-    beaten = {
-        q
-        for q, a in keys.items()
-        if any(b[1:] != a[1:] and dominates(b, a) for b in keys.values())
-    }
+    beaten = {q for q, a in keys.items() if any(_beats(b, a) for b in keys.values())}
     return [st for st in group if (st[1], st[2]) not in beaten]
 
 
@@ -369,10 +395,11 @@ def hierarchical_synthesize(
     priorities. An infeasible node poisons its ancestors but leaves
     sibling subtrees reported.
 
-    "brute" retains every admissible solution; "dp" retains only what
-    the fold keeps, so its deeper layers can be thinner. Efficient
-    layers agree under both everywhere, unless a priority override
-    pins a dominated solution that only full retention still carries.
+    "brute" retains every admissible solution; "dp" retains only the
+    selections that no other admissible selection strictly beats, so
+    its deeper layers can be thinner. Efficient layers agree under both
+    everywhere, unless a priority override pins a dominated solution
+    that only full retention still carries.
     """
     if algorithm not in ("dp", "brute"):
         raise ValueError(f"unknown algorithm {algorithm!r}")

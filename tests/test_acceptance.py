@@ -13,6 +13,7 @@ import time
 from morphplan.cli import run_command
 from morphplan.estimates import enumerate_estimates, generalized_median, multiset_number, proximity
 from morphplan.fixtures import fixture_path, fixture_text
+from morphplan.generator import generate_document
 from morphplan.knapsack import exact_mckp, greedy_mckp
 from morphplan.model import e_dominates
 from morphplan.modeldoc import parse_model
@@ -259,3 +260,34 @@ def test_criterion_8_property_suites():
     assert checked >= 20
     print(f"\n[criterion 8] PASS: 500 frontier equivalences in {elapsed:.1f}s, "
           "dominance laws exhaustive, proximity oracle agreement, kernel bounds hold")
+
+
+def test_dense_ladder_frontier_and_fold_time():
+    # A 16-child one-node model with every pair listed: the fold's
+    # frontier as recorded before the branch and bound, in report
+    # order. Every solution is (1; 11,2,3) on layer 1, and they differ
+    # only at C3, C10, C12 and C13.
+    model = parse_model(
+        json.dumps(generate_document(seed=1, children=16, das=5, zero_rate=0))
+    ).model
+    node = model.component(model.root)
+    started = time.perf_counter()
+    frontier = synthesize_dp(node, model)
+    elapsed = time.perf_counter() - started
+    expected = [
+        (
+            f"C1x2*C2x1*C3x{c3}*C4x1*C5x1*C6x3*C7x1*C8x1*C9x1*C10x{c10}*C11x1"
+            f"*C12x{c12}*C13x{c13}*C14x2*C15x1*C16x1",
+            1,
+            (11, 2, 3),
+            1,
+        )
+        for c3, c10, c12, c13 in itertools.product((3, 4), (1, 4), (1, 2), (1, 3, 5))
+    ]
+    got = [
+        (s.label, s.quality.w, s.quality.e, layer)
+        for s, layer in zip(frontier.solutions, frontier.layers)
+    ]
+    assert got == expected
+    assert elapsed < 1.0, f"the 16-child fold took {elapsed:.2f}s"
+    print(f"\n[dense ladder] PASS: 24 pinned solutions in {elapsed * 1000:.1f} ms")

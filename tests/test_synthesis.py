@@ -4,6 +4,7 @@ equivalence, and whole-tree runs."""
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from morphplan.model import (
 )
 from morphplan.modeldoc import parse_model
 from morphplan.synthesis import (
+    _prune_group,
     enumerate_admissible,
     hierarchical_synthesize,
     pareto_filter,
@@ -185,6 +187,58 @@ def test_fold_matches_enumeration_on_random_instances(seed):
     brute = pareto_filter(admissible)
     assert picks_set(dp.layer(1)) == picks_set(brute.layer(1)), seed
     assert all(s.quality.w >= 1 for s in dp.solutions)
+
+
+@st.composite
+def leaf_parent_models(draw):
+    """One node over one to five leaves at 2-4 levels. Sibling leaves
+    draw ids from one small pool, so they may share an id. The table
+    is absent, or lists a random share of the pairs, zeros included,
+    with default 0, 1 or 4."""
+    levels = draw(st.integers(2, 4))
+    leaves = {}
+    for i in range(draw(st.integers(1, 5))):
+        ids = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=4, unique=True))
+        leaves[f"L{i}"] = [(d, draw(st.integers(1, levels))) for d in ids]
+    if draw(st.booleans()):
+        return node_model(leaves, None, levels=levels)
+    ids = sorted({d for das in leaves.values() for d, _ in das})
+    pairs = [
+        (a, b, draw(st.integers(0, 4)))
+        for i, a in enumerate(ids)
+        for b in ids[i:]
+        if draw(st.booleans())
+    ]
+    return node_model(leaves, pairs, default=draw(st.sampled_from((0, 1, 4))), levels=levels)
+
+
+def rows(frontier):
+    return [
+        (s.picks, s.quality, layer) for s, layer in zip(frontier.solutions, frontier.layers)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(leaf_parent_models())
+def test_fold_keeps_what_no_admissible_selection_strictly_beats(model):
+    # Oracle at every layer: the rule of _prune_group over every
+    # admissible selection, then layered.
+    node = model.component("N")
+    group = [(s, s.quality.w, s.quality.e) for s in enumerate_admissible(node, model)]
+    expected = pareto_filter([s for s, _, _ in _prune_group(group)])
+    assert rows(synthesize_dp(node, model)) == rows(expected)
+
+
+def test_fold_over_more_leaves_than_the_recursion_limit():
+    # No table, so no lookups: the all-best selection is found first and
+    # bounds away every other branch.
+    width = max(1100, sys.getrecursionlimit() + 100)
+    leaves = {f"L{i}": [(f"L{i}a", 1), (f"L{i}b", 2)] for i in range(width)}
+    model = node_model(leaves, None)
+    frontier = synthesize_dp(model.component("N"), model)
+    assert [s.label for s in frontier.solutions] == ["*".join(f"L{i}a" for i in range(width))]
+    assert frontier.solutions[0].quality == QualityVector(4, (width, 0, 0))
+    assert frontier.layers == (1,)
 
 
 def test_identical_inputs_give_identical_ordering():
