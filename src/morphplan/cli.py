@@ -167,7 +167,12 @@ def _parse_budget(text: str):
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         return Fraction(text)
+    except ZeroDivisionError:
+        # argparse turns only ValueError and TypeError into a usage error.
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

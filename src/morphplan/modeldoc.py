@@ -168,12 +168,50 @@ def parse_model(text: str) -> ModelDocument:
         ) from None
     except RecursionError:
         raise DocumentError(["malformed JSON: arrays or objects nest too deeply"]) from None
-    return document_from_dict(raw)
+    doc = document_from_dict(raw)
+    # Checked once the document is valid, so other diagnostics keep
+    # their order. Only an escape or text that is not ASCII can hold a
+    # lone surrogate, and a search for one character (not for "\\u")
+    # is a memchr, so other text skips the walk at no measurable cost.
+    if "\\" in text or not text.isascii():
+        _reject_surrogates(raw, "$")
+    return doc
+
+
+# Objects keyed by names from the document; paths write their keys [key].
+_NAMED_KEYS = frozenset({"annotations", "priority_overrides", "kernel", "picks"})
+
+
+def _reject_surrogates(value, path: str, named: bool = False) -> None:
+    """Raise at the first string or key holding a lone surrogate: JSON
+    lets a ``\\ud800`` escape through, but no UTF-8 output can carry it."""
+    if isinstance(value, dict):
+        for key, member in value.items():
+            _reject_surrogates(key, path)
+            member_path = f"{path}[{key}]" if named else f"{path}.{key}"
+            _reject_surrogates(member, member_path, key in _NAMED_KEYS)
+    elif isinstance(value, list):
+        for i, member in enumerate(value):
+            _reject_surrogates(member, f"{path}[{i}]")
+    elif isinstance(value, str) and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DocumentError([f"{path}: lone surrogate in {value!r}"]) from None
 
 
 def parse_model_file(path) -> ModelDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError([f"malformed UTF-8 at byte {exc.start}: {exc.reason}"]) from None
+    if "\r" in text:
+        # Universal newlines, as a file opened in text mode reads: the line
+        # numbers of malformed-JSON diagnostics count a lone CR as a break.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_model(text)
 
 
 def document_from_dict(raw) -> ModelDocument:

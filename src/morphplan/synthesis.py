@@ -12,7 +12,7 @@ as id and its layer (or a pinned override) as priority.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, attrgetter, ge
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -288,7 +288,7 @@ def synthesize_dp(
     candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
 ) -> Frontier:
     """The admissible selections that no other admissible selection
-    strictly beats under the ``_prune_group`` rule, layered.
+    strictly beats (``_beats``), layered.
 
     A depth-first branch and bound over the children, on an explicit
     stack, trying each child's candidates best priority first. A
@@ -297,11 +297,13 @@ def synthesize_dp(
     completion scores above it. The partial selection is dropped as
     soon as a complete selection found so far strictly beats that
     bound, since that selection then strictly beats every completion.
-    The found keys are kept reduced to those that nothing found
-    strictly beats, and one ``_prune_group`` over the survivors drops
-    what later finds beat. The layer-1 set equals full enumeration's;
-    deeper layers are those of the kept set, so they may come back
-    thinner.
+    The found selections are kept grouped by key, and only under keys
+    that nothing found strictly beats: a new key first evicts every
+    kept key it beats. As ``_beats`` is transitive, a find beaten by an
+    earlier one is cut when popped and one beaten by a later one is
+    evicted, so the kept groups end as the answer. The layer-1 set
+    equals full enumeration's; deeper layers are those of the kept
+    set, so they may come back thinner.
     """
     # Best priority first; ties keep the child's order.
     lists = [
@@ -320,44 +322,32 @@ def synthesize_dp(
     suffix.reverse()
 
     stack: list[_State] = [((), model.scale.max_compat, (0,) * levels)]
-    archive: list[QualityKey] = []
-    found: list[_State] = []
+    kept: dict[QualityKey, list[_State]] = {}
     while stack:
         state = stack.pop()
         picks, w, counts = state
         k = len(picks)
         bound = (w, *map(add, accumulate(counts), suffix[k]))
-        if any(_beats(key, bound) for key in archive):
+        if any(_beats(key, bound) for key in kept):
             continue
         if k < n:
             stack.extend(reversed(_extend(state, cands[k], compat)))
+        elif bound in kept:
+            kept[bound].append(state)
         else:
-            found.append(state)
-            if bound not in archive:
-                archive = [key for key in archive if not _beats(bound, key)]
-                archive.append(bound)
-    return pareto_filter(_solutions(node, lists, _prune_group(found)))
+            kept = {key: group for key, group in kept.items() if not _beats(bound, key)}
+            kept[bound] = [state]
+    return pareto_filter(_solutions(node, lists, chain.from_iterable(kept.values())))
 
 
 def _beats(b: QualityKey, a: QualityKey) -> bool:
     """Key b strictly beats key a: at least as large everywhere, with
-    strictly better counts.
+    strictly better counts. The relation is transitive.
 
     Equal counts with larger w do not beat, so a selection that loses
     only on w stays with the fold's survivors, on a deeper layer.
     """
     return b[1:] != a[1:] and dominates(b, a)
-
-
-def _prune_group(group: list) -> list:
-    """Drop the states whose (w; e) another distinct (w; e) in the
-    group strictly beats (``_beats``). Each distinct quality is keyed
-    and compared once."""
-    if len(group) == 1:
-        return group
-    keys = {(w, e): (w, *cumulative(e)) for _, w, e in group}
-    beaten = {q for q, a in keys.items() if any(_beats(b, a) for b in keys.values())}
-    return [st for st in group if (st[1], st[2]) not in beaten]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from morphplan.model import (
     OrdinalScale,
     check_counts,
     cumulative,
+    e_dominates,
     system_quality,
 )
 from morphplan.modeldoc import parse_model
@@ -153,6 +154,20 @@ def admissible_by_product(node: Component, model: MorphModel) -> list:
         if quality.w >= 1:
             out.append((picks, quality, das))
     return out
+
+
+def unbeaten_by_pairs(solutions: Sequence[CompositeSolution]) -> list[CompositeSolution]:
+    """Reference for the fold's rule: the solutions whose (w; e) no
+    other distinct (w; e) among them strictly beats, compared pairwise.
+    A quality beats another when its w is at least as large and its
+    counts e-dominate and differ, so a loss on w alone is no loss."""
+    qualities = {(s.quality.w, s.quality.e) for s in solutions}
+    beaten = {
+        (w, e)
+        for w, e in qualities
+        if any(w2 >= w and e2 != e and e_dominates(e2, e) for w2, e2 in qualities)
+    }
+    return [s for s in solutions if (s.quality.w, s.quality.e) not in beaten]
 
 
 def median_by_scan(

@@ -226,6 +226,24 @@ def test_validate_json_of_a_broken_document_is_exact(tmp_path, capsys):
     assert run_main(capsys, ["validate", str(path), "--format", "json"]) == (2, "", expected)
 
 
+def test_validate_json_of_undecodable_bytes_is_a_report(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(fixture_text("arkticheskoe").replace("appraisal", "\u00e9tude").encode("latin-1"))
+    code, out, err = run_main(capsys, ["validate", str(path), "--format", "json"])
+    offset = fixture_text("arkticheskoe").index("appraisal")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["validation"] == [f"malformed UTF-8 at byte {offset}: invalid continuation byte"]
+
+
+def test_lone_surrogate_in_the_name_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(fixture_text("arkticheskoe"))
+    doc["options"]["name"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    message = "error: $.options.name: lone surrogate in '\\ud800'\n"
+    assert run_main(capsys, ["synth", str(path)]) == (2, "", message)
+
+
 def test_validate_reports_diagnostics(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
@@ -446,6 +464,13 @@ def test_aggregate_without_any_budget_is_a_usage_error(tmp_path, capsys):
 def test_aggregate_infeasible_budget_exits_one():
     result = run_command(["aggregate", REGION, "--budget", "2"])
     assert result.code == 1
+
+
+@pytest.mark.parametrize("command", ["aggregate", "report"])
+def test_zero_denominator_budget_is_a_usage_error(capsys, command):
+    code, out, err = run_main(capsys, [command, REGION, "--budget", "1/0"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --budget: invalid _parse_budget value: '1/0'\n")
 
 
 def test_aggregate_exact_walks_back_many_groups(tmp_path):

@@ -1,5 +1,5 @@
 """The dominance kernel against naive pairwise references: layer peeling,
-fold-group pruning, the DOT cover relation and the shape guard."""
+the DOT cover relation and the shape guard."""
 
 from __future__ import annotations
 
@@ -14,11 +14,10 @@ from morphplan.model import (
     CompositeSolution,
     InvalidComparisonError,
     QualityVector,
-    e_dominates,
     n_dominates,
 )
 from morphplan.reporting import cover_edges
-from morphplan.synthesis import _prune_group, pareto_filter, peel_layers
+from morphplan.synthesis import pareto_filter, peel_layers
 from tests.conftest import node_model
 
 # Fixed examples, so a run is reproducible; no example database on disk.
@@ -119,20 +118,6 @@ def test_kernel_peel_matches_pairwise_peel(solutions):
 def test_kernel_peel_matches_pairwise_peel_with_deviation(solutions):
     got = peel_layers(solutions, key=_median_key)
     assert got == pairwise_peel(solutions, median_dominates)
-
-
-@kernel_settings
-@given(qualities(max_size=20))
-def test_prune_group_keeps_what_the_pairwise_rule_keeps(items):
-    group = [((f"p{i}",), w, e) for i, (w, e) in enumerate(items)]
-    expected = [
-        (picks, w, e)
-        for picks, w, e in group
-        if not any(
-            w2 >= w and e2 != e and e_dominates(e2, e) for _, w2, e2 in group
-        )
-    ]
-    assert _prune_group(group) == expected
 
 
 @kernel_settings

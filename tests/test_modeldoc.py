@@ -18,6 +18,7 @@ from morphplan.modeldoc import (
     canonical_json,
     model_digest,
     parse_model,
+    parse_model_file,
     serialize_document,
 )
 
@@ -78,6 +79,74 @@ def test_malformed_json_reports_position():
     with pytest.raises(DocumentError) as err:
         parse_model("{ not json")
     assert any("line 1" in d for d in err.value.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "damage, diagnostic",
+    [
+        (lambda data: data[:40] + b"\xff" + data[40:], "malformed UTF-8 at byte 40: invalid start byte"),
+        (lambda data: data + "\u00fc".encode()[:1], "malformed UTF-8 at byte {end}: unexpected end of data"),
+    ],
+    ids=["invalid-byte", "truncated"],
+)
+def test_undecodable_bytes_are_a_document_error(tmp_path, damage, diagnostic):
+    data = fixture_text("arkticheskoe").encode()
+    path = tmp_path / "damaged.json"
+    path.write_bytes(damage(data))
+    with pytest.raises(DocumentError) as err:
+        parse_model_file(path)
+    assert err.value.diagnostics == [diagnostic.format(end=len(data))]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_file_newlines_are_read_as_in_text_mode(tmp_path, newline):
+    path = tmp_path / "broken.json"
+    path.write_bytes(newline.join(['{"a": 1,', '  "b": 2', '  "c": 3}']).encode())
+    with pytest.raises(DocumentError) as err:
+        parse_model_file(path)
+    assert err.value.diagnostics == [
+        "malformed JSON at line 3, column 3: Expecting ',' delimiter"
+    ]
+
+
+# A lone surrogate appended to one string of a fixture, everywhere it
+# appears as a whole JSON string (so ids stay consistent) or only in
+# the fragment given, and the path of its first place.
+SURROGATES = {
+    "name": ("arkticheskoe", "arkticheskoe", "$.options.name"),
+    "note": (
+        "arkticheskoe",
+        json.loads(fixture_text("arkticheskoe"))["options"]["notes"][0],
+        "$.options.notes[0]",
+    ),
+    "root": ("arkticheskoe", "A2", "$.root"),
+    "component-id": ("arkticheskoe", "E", "$.components[0].id"),
+    "da-id": ("arkticheskoe", "E3", "$.components[0].das[1].id"),
+    "annotation": ("arkticheskoe", "appraisal work", "$.components[0].das[0].annotations[action]"),
+    "annotation-key": ("arkticheskoe", "action", "$.components[0].das[0].annotations"),
+    "override-label": ("arkticheskoe", "E6*F6*G6*J6*I6", "$.components[8].priority_overrides"),
+    "expected-name": ("arkticheskoe", "D1", "$.options.expected[0].name"),
+    "kernel": ("yamal_region", "A1_1", "$.knapsack.kernel[A1]", '"A1": "A1_1"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURROGATES))
+def test_lone_surrogates_are_a_document_error(case):
+    name, text, path, *fragment = SURROGATES[case]
+    token = fragment[0] if fragment else json.dumps(text)
+    document = fixture_text(name).replace(token, token[:-1] + '\\ud800"')
+    assert document != fixture_text(name)
+    with pytest.raises(DocumentError) as err:
+        parse_model(document)
+    assert err.value.diagnostics == [f"{path}: lone surrogate in {text + chr(0xD800)!r}"]
+
+
+def test_surrogate_pairs_and_other_text_parse():
+    raw = json.loads(fixture_text("arkticheskoe"))
+    raw["options"]["name"] = "Ямал \U0001f600"
+    text = json.dumps(raw)
+    assert "\\ud83d\\ude00" in text
+    assert parse_model(text).options.name == "Ямал \U0001f600"
 
 
 def test_unknown_top_level_keys_rejected():
@@ -317,3 +386,82 @@ def test_canonical_json_rejects_what_json_rejects(value):
         json_dumps(value)
     assert str(ours.value) == str(theirs.value)
     assert "is not JSON serializable" in str(ours.value)
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzz: DocumentError is the only failure, and output encodes
+# ---------------------------------------------------------------------------
+
+fuzz_settings = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+def parse_and_serialize(text: str):
+    """The parsed document and its serialized text, or None when the
+    parser raises a DocumentError. The text must encode as UTF-8, as
+    every output of the CLI must; any other exception fails the test."""
+    try:
+        doc = parse_model(text)
+    except DocumentError:
+        return None
+    serialized = serialize_document(doc)
+    serialized.encode("utf-8")
+    return doc, serialized
+
+
+@fuzz_settings
+@given(json_values, st.booleans())
+@example({**MINIMAL, "options": {"name": "\ud800"}}, True)
+def test_parser_raises_only_document_errors_on_any_json(value, ascii_only):
+    parse_and_serialize(json.dumps(value, ensure_ascii=ascii_only))
+
+
+def places(value, path=()):
+    """The path of every member of a JSON value, the value itself first."""
+    yield path
+    if isinstance(value, dict):
+        members = value.items()
+    elif isinstance(value, list):
+        members = enumerate(value)
+    else:
+        return
+    for key, member in members:
+        yield from places(member, (*path, key))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A bundled fixture with one or two members replaced, dropped,
+    nudged (text appended, lone surrogates among it, or an integer
+    moved by up to 2) or given an extra key."""
+    raw = json.loads(fixture_text(draw(st.sampled_from(NAMES))))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(places(raw))))
+        if not path:
+            continue
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        # Weighted to nudges and drops, which often leave the document
+        # valid, so that the round trip runs on a fair share of examples.
+        kind = draw(st.sampled_from(["nudge", "nudge", "nudge", "drop", "drop", "replace", "add"]))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "add" and isinstance(value, dict):
+            value[draw(any_text)] = draw(scalars)
+        elif kind == "nudge" and isinstance(value, str):
+            parent[key] = value + draw(st.sampled_from(["\ud800", "\udfff!", "\U0001f600"]) | any_text)
+        elif kind == "nudge" and isinstance(value, int) and not isinstance(value, bool):
+            parent[key] = value + draw(st.integers(-2, 2))
+        else:
+            parent[key] = draw(json_values)
+    return raw
+
+
+@fuzz_settings
+@given(mutated_fixtures(), st.booleans())
+def test_mutated_fixtures_fail_cleanly_or_round_trip(raw, ascii_only):
+    parsed = parse_and_serialize(json.dumps(raw, ensure_ascii=ascii_only))
+    if parsed is not None:
+        doc, text = parsed
+        assert model_digest(parse_model(text).model) == model_digest(doc.model)

@@ -7,7 +7,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphplan.fixtures import fixture_text
@@ -24,13 +24,17 @@ from morphplan.model import (
 )
 from morphplan.modeldoc import parse_model
 from morphplan.synthesis import (
-    _prune_group,
     enumerate_admissible,
     hierarchical_synthesize,
     pareto_filter,
     synthesize_dp,
 )
-from tests.conftest import admissible_by_product, node_model, random_node_model
+from tests.conftest import (
+    admissible_by_product,
+    node_model,
+    random_node_model,
+    unbeaten_by_pairs,
+)
 
 
 def sol(w, e, label="s", node="N"):
@@ -220,12 +224,19 @@ def rows(frontier):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(leaf_parent_models())
+# A selection that loses only on w: both stay, on layers 1 and 2.
+@example(node_model({"A": [("a1", 1)], "B": [("b1", 1), ("b2", 1)]}, [("a1", "b1", 2), ("a1", "b2", 4)]))
+# Two selections with one key: both stay.
+@example(node_model({"A": [("a1", 1), ("a2", 1)], "B": [("b1", 2)]}, None))
+# a1*b2 is found first and beaten by a2*b1, found later.
+@example(
+    node_model({"A": [("a1", 1), ("a2", 1)], "B": [("b1", 1), ("b2", 2)]}, [("a1", "b1", 0)], default=4)
+)
 def test_fold_keeps_what_no_admissible_selection_strictly_beats(model):
-    # Oracle at every layer: the rule of _prune_group over every
-    # admissible selection, then layered.
+    # Oracle at every layer: the pairwise rule over every admissible
+    # selection, then layered.
     node = model.component("N")
-    group = [(s, s.quality.w, s.quality.e) for s in enumerate_admissible(node, model)]
-    expected = pareto_filter([s for s, _, _ in _prune_group(group)])
+    expected = pareto_filter(unbeaten_by_pairs(enumerate_admissible(node, model)))
     assert rows(synthesize_dp(node, model)) == rows(expected)
 
 
