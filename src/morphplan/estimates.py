@@ -19,12 +19,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .model import (
     Component,
     CompositeSolution,
-    DesignAlternative,
     InvalidComparisonError,
     MorphModel,
     QualityVector,
@@ -338,11 +337,10 @@ def _suffix_min(rows: list[Row | None]) -> list[Row | None]:
 def multiset_synthesize(
     node: Component,
     model: MorphModel,
-    candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
     enforce_gap_rule: bool = True,
     metric: str = "max",
 ) -> Frontier:
-    """Compose estimate-carrying candidates under ``node``.
+    """Compose the estimates of ``node``'s leaf children.
 
     Every admissible selection (w >= 1) is scored by (w; consensus of
     the picked estimates), carrying the consensus deviation. Among
@@ -350,7 +348,7 @@ def multiset_synthesize(
     Dominance for layering requires better-or-equal w, dominated-or-
     equal consensus counts, and no larger deviation.
     """
-    lists = child_candidates(node, model, candidates)
+    lists = child_candidates(node, model, None)
     for child_id, cands in lists:
         for cand in cands:
             if cand.estimate is None:

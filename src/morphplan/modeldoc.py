@@ -30,6 +30,12 @@ Unknown keys are rejected everywhere. ``knapsack`` and ``options`` are
 optional. Expected entries are reference solutions shipped with a
 model; commands recompute them and flag mismatches as warnings instead
 of correcting the inputs.
+
+The parser raises only ``DocumentError``, whose diagnostics name the
+``$`` path of the first fault it reads. Arrays are read through
+``_items`` and objects keyed by document names through ``_map``, which
+write those paths; a string or key holding a lone surrogate is
+rejected where it is read, so no diagnostic or output carries one.
 """
 
 from __future__ import annotations
@@ -134,13 +140,43 @@ def _int(value, path: str) -> int:
 def _str(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         raise DocumentError([f"{path}: expected non-empty string, got {value!r}"])
+    if not value.isascii():
+        _check_utf8(value, path)
     return value
+
+
+def _check_utf8(text: str, path: str) -> None:
+    """Reject a lone surrogate: JSON lets a ``\\ud800`` escape through,
+    but no UTF-8 output, a diagnostic included, can carry it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DocumentError([f"{path}: lone surrogate in {text!r}"]) from None
 
 
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise DocumentError([f"{path}: expected array, got {type(value).__name__}"])
     return value
+
+
+def _items(value, path: str, item) -> tuple:
+    """An array read member by member: ``item(member, f"{path}[{j}]")``."""
+    return tuple([item(member, f"{path}[{j}]") for j, member in enumerate(_list(value, path))])
+
+
+def _map(value, path: str, item) -> dict:
+    """An object keyed by names from the document, each member read by
+    ``item(member, f"{path}[{key}]")``; a key is checked before it is
+    written into a path."""
+    if not isinstance(value, dict):
+        raise DocumentError([f"{path}: expected object"])
+    out = {}
+    for key, member in value.items():
+        if not key.isascii():
+            _check_utf8(key, path)
+        out[key] = item(member, f"{path}[{key}]")
+    return out
 
 
 def _number(value, path: str):
@@ -166,38 +202,12 @@ def parse_model(text: str) -> ModelDocument:
         raise DocumentError(
             [f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from None
+    except ValueError as exc:
+        # An integer literal longer than int() converts.
+        raise DocumentError([f"malformed JSON: {exc}"]) from None
     except RecursionError:
         raise DocumentError(["malformed JSON: arrays or objects nest too deeply"]) from None
-    doc = document_from_dict(raw)
-    # Checked once the document is valid, so other diagnostics keep
-    # their order. Only an escape or text that is not ASCII can hold a
-    # lone surrogate, and a search for one character (not for "\\u")
-    # is a memchr, so other text skips the walk at no measurable cost.
-    if "\\" in text or not text.isascii():
-        _reject_surrogates(raw, "$")
-    return doc
-
-
-# Objects keyed by names from the document; paths write their keys [key].
-_NAMED_KEYS = frozenset({"annotations", "priority_overrides", "kernel", "picks"})
-
-
-def _reject_surrogates(value, path: str, named: bool = False) -> None:
-    """Raise at the first string or key holding a lone surrogate: JSON
-    lets a ``\\ud800`` escape through, but no UTF-8 output can carry it."""
-    if isinstance(value, dict):
-        for key, member in value.items():
-            _reject_surrogates(key, path)
-            member_path = f"{path}[{key}]" if named else f"{path}.{key}"
-            _reject_surrogates(member, member_path, key in _NAMED_KEYS)
-    elif isinstance(value, list):
-        for i, member in enumerate(value):
-            _reject_surrogates(member, f"{path}[{i}]")
-    elif isinstance(value, str) and not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DocumentError([f"{path}: lone surrogate in {value!r}"]) from None
+    return document_from_dict(raw)
 
 
 def parse_model_file(path) -> ModelDocument:
@@ -226,24 +236,24 @@ def document_from_dict(raw) -> ModelDocument:
         raise DocumentError([f"$.morph_schema: unsupported version {version}"])
 
     scale_obj = _obj(top["scale"], "$.scale", required={"l", "nu"}, optional=set())
+    levels = _int(scale_obj["l"], "$.scale.l")
+    max_compat = _int(scale_obj["nu"], "$.scale.nu")
     try:
-        scale = OrdinalScale(
-            levels=_int(scale_obj["l"], "$.scale.l"),
-            max_compat=_int(scale_obj["nu"], "$.scale.nu"),
-        )
+        scale = OrdinalScale(levels=levels, max_compat=max_compat)
     except ValueError as exc:
         raise DocumentError([f"$.scale: {exc}"]) from None
+    root = _str(top["root"], "$.root")
 
     components: dict[str, Component] = {}
-    for i, comp_raw in enumerate(_list(top["components"], "$.components")):
-        comp = _parse_component(comp_raw, f"$.components[{i}]", scale)
+
+    def component(raw, path: str) -> None:
+        comp = _parse_component(raw, path)
         if comp.id in components:
-            raise DocumentError([f"$.components[{i}]: duplicate component id {comp.id!r}"])
+            raise DocumentError([f"{path}: duplicate component id {comp.id!r}"])
         components[comp.id] = comp
 
-    model = MorphModel(
-        scale=scale, root=_str(top["root"], "$.root"), components=components
-    )
+    _items(top["components"], "$.components", component)
+    model = MorphModel(scale=scale, root=root, components=components)
     report = validate_model(model)
     if not report.ok:
         raise DocumentError([f"validation: {line}" for line in report.lines()])
@@ -257,7 +267,7 @@ def document_from_dict(raw) -> ModelDocument:
     return ModelDocument(model=model, knapsack=knapsack, options=options)
 
 
-def _parse_component(raw, path: str, scale: OrdinalScale) -> Component:
+def _parse_component(raw, path: str) -> Component:
     obj = _obj(
         raw,
         path,
@@ -269,13 +279,8 @@ def _parse_component(raw, path: str, scale: OrdinalScale) -> Component:
     if kind not in ("leaf", "composite"):
         raise DocumentError([f"{path}.kind: expected leaf|composite, got {kind!r}"])
 
-    das: list[DesignAlternative] = []
-    for j, da_raw in enumerate(_list(obj.get("das", []), f"{path}.das")):
-        das.append(_parse_da(da_raw, f"{path}.das[{j}]", scale))
-    children = tuple(
-        _str(c, f"{path}.children[{j}]")
-        for j, c in enumerate(_list(obj.get("children", []), f"{path}.children"))
-    )
+    das = _items(obj.get("das", []), f"{path}.das", _parse_da)
+    children = _items(obj.get("children", []), f"{path}.children", _str)
     if kind == "leaf" and children:
         raise DocumentError([f"{path}: leaf component lists children"])
     if kind == "composite" and not children:
@@ -284,39 +289,28 @@ def _parse_component(raw, path: str, scale: OrdinalScale) -> Component:
     compat = None
     if "compat" in obj:
         compat = _parse_compat(obj["compat"], f"{path}.compat")
-    overrides: dict[str, int] = {}
+    overrides = {}
     if "priority_overrides" in obj:
-        over_raw = obj["priority_overrides"]
-        if not isinstance(over_raw, dict):
-            raise DocumentError([f"{path}.priority_overrides: expected object"])
-        for label, prio in over_raw.items():
-            overrides[label] = _int(prio, f"{path}.priority_overrides[{label}]")
+        overrides = _map(obj["priority_overrides"], f"{path}.priority_overrides", _int)
     return Component(
         id=cid,
-        das=tuple(das),
+        das=das,
         children=children,
         compat=compat,
         priority_overrides=overrides,
     )
 
 
-def _parse_da(raw, path: str, scale: OrdinalScale) -> DesignAlternative:
+def _parse_da(raw, path: str) -> DesignAlternative:
     obj = _obj(
         raw, path, required={"id", "priority"}, optional={"annotations", "estimate"}
     )
-    annotations: dict[str, str] = {}
+    annotations = {}
     if "annotations" in obj:
-        ann_raw = obj["annotations"]
-        if not isinstance(ann_raw, dict):
-            raise DocumentError([f"{path}.annotations: expected object"])
-        for k, v in ann_raw.items():
-            annotations[k] = _str(v, f"{path}.annotations[{k}]")
+        annotations = _map(obj["annotations"], f"{path}.annotations", _str)
     estimate = None
     if "estimate" in obj:
-        estimate = tuple(
-            _int(c, f"{path}.estimate[{j}]")
-            for j, c in enumerate(_list(obj["estimate"], f"{path}.estimate"))
-        )
+        estimate = _items(obj["estimate"], f"{path}.estimate", _int)
     return DesignAlternative(
         id=_str(obj["id"], f"{path}.id"),
         priority=_int(obj["priority"], f"{path}.priority"),
@@ -355,88 +349,81 @@ def _knapsack_rule(path: str):
 
 def _parse_knapsack(raw, path: str) -> KnapsackSection:
     obj = _obj(raw, path, required={"groups"}, optional={"kernel", "budgets"})
-    kernel: dict[str, str] = {}
+    kernel = {}
     if "kernel" in obj:
-        kernel_raw = obj["kernel"]
-        if not isinstance(kernel_raw, dict):
-            raise DocumentError([f"{path}.kernel: expected object"])
-        for comp, pick in kernel_raw.items():
-            kernel[comp] = _str(pick, f"{path}.kernel[{comp}]")
-    groups: list[tuple[ChoiceItem, ...]] = []
-    for j, group_raw in enumerate(_list(obj["groups"], f"{path}.groups")):
-        gpath = f"{path}.groups[{j}]"
-        gobj = _obj(group_raw, gpath, required={"id", "items"}, optional=set())
-        gid = _str(gobj["id"], f"{gpath}.id")
-        items = []
-        for k, item_raw in enumerate(_list(gobj["items"], f"{gpath}.items")):
-            ipath = f"{gpath}.items[{k}]"
-            iobj = _obj(item_raw, ipath, required={"id", "cost", "profit"}, optional=set())
-            item_id = _str(iobj["id"], f"{ipath}.id")
-            cost = _number(iobj["cost"], f"{ipath}.cost")
-            profit = _number(iobj["profit"], f"{ipath}.profit")
-            with _knapsack_rule(ipath):
-                items.append(ChoiceItem(id=item_id, group=gid, cost=cost, profit=profit))
-        if not items:
-            raise DocumentError([f"{gpath}.items: group is empty"])
-        groups.append(tuple(items))
+        kernel = _map(obj["kernel"], f"{path}.kernel", _str)
+    groups = _items(obj["groups"], f"{path}.groups", _parse_group)
     with _knapsack_rule(f"{path}.groups"):
-        instance = KnapsackInstance(groups=tuple(groups), budget=0)
+        instance = KnapsackInstance(groups=groups, budget=0)
     with _knapsack_rule(f"{path}.kernel"):
         check_kernel(kernel, instance)
-    budgets = []
-    for j, b in enumerate(_list(obj.get("budgets", []), f"{path}.budgets")):
-        bpath = f"{path}.budgets[{j}]"
-        budget = _number(b, bpath)
-        with _knapsack_rule(bpath):
-            KnapsackInstance(groups=(), budget=budget)  # the budget rule alone
-        budgets.append(budget)
-    return KnapsackSection(kernel=kernel, groups=instance.groups, budgets=tuple(budgets))
+    budgets = _items(obj.get("budgets", []), f"{path}.budgets", _parse_budget)
+    return KnapsackSection(kernel=kernel, groups=instance.groups, budgets=budgets)
+
+
+def _parse_group(raw, path: str) -> tuple[ChoiceItem, ...]:
+    obj = _obj(raw, path, required={"id", "items"}, optional=set())
+    gid = _str(obj["id"], f"{path}.id")
+
+    def item(raw, ipath: str) -> ChoiceItem:
+        iobj = _obj(raw, ipath, required={"id", "cost", "profit"}, optional=set())
+        item_id = _str(iobj["id"], f"{ipath}.id")
+        cost = _number(iobj["cost"], f"{ipath}.cost")
+        profit = _number(iobj["profit"], f"{ipath}.profit")
+        with _knapsack_rule(ipath):
+            return ChoiceItem(id=item_id, group=gid, cost=cost, profit=profit)
+
+    items = _items(obj["items"], f"{path}.items", item)
+    if not items:
+        raise DocumentError([f"{path}.items: group is empty"])
+    return items
+
+
+def _parse_budget(raw, path: str):
+    budget = _number(raw, path)
+    with _knapsack_rule(path):
+        KnapsackInstance(groups=(), budget=budget)  # the budget rule alone
+    return budget
 
 
 def _parse_options(raw, path: str, model: MorphModel) -> DocumentOptions:
     obj = _obj(raw, path, required=set(), optional={"name", "notes", "expected"})
     name = _str(obj["name"], f"{path}.name") if "name" in obj else None
-    notes = tuple(
-        _str(n, f"{path}.notes[{j}]")
-        for j, n in enumerate(_list(obj.get("notes", []), f"{path}.notes"))
+    notes = _items(obj.get("notes", []), f"{path}.notes", _str)
+    expected = _items(
+        obj.get("expected", []),
+        f"{path}.expected",
+        lambda raw, epath: _parse_expected(raw, epath, model),
     )
-    expected: list[ExpectedSolution] = []
-    for j, exp_raw in enumerate(_list(obj.get("expected", []), f"{path}.expected")):
-        epath = f"{path}.expected[{j}]"
-        eobj = _obj(
-            exp_raw,
-            epath,
-            required={"name", "node", "picks", "quality"},
-            optional={"kind", "note"},
-        )
-        picks_raw = eobj["picks"]
-        if not isinstance(picks_raw, dict):
-            raise DocumentError([f"{epath}.picks: expected object"])
-        picks = {k: _str(v, f"{epath}.picks[{k}]") for k, v in picks_raw.items()}
-        qobj = _obj(eobj["quality"], f"{epath}.quality", required={"w", "e"}, optional=set())
-        e = tuple(
-            _int(c, f"{epath}.quality.e[{k}]")
-            for k, c in enumerate(_list(qobj["e"], f"{epath}.quality.e"))
-        )
-        if len(e) != model.scale.levels:
-            raise DocumentError([f"{epath}.quality.e: expected {model.scale.levels} levels"])
-        kind = eobj.get("kind", "ordinal")
-        if kind not in ("ordinal", "median"):
-            raise DocumentError([f"{epath}.kind: expected ordinal|median, got {kind!r}"])
-        node = _str(eobj["node"], f"{epath}.node")
-        _check_picks(model, node, picks, epath)
-        expected.append(
-            ExpectedSolution(
-                name=_str(eobj["name"], f"{epath}.name"),
-                node=node,
-                picks=picks,
-                w=_int(qobj["w"], f"{epath}.quality.w"),
-                e=e,
-                kind=kind,
-                note=_str(eobj["note"], f"{epath}.note") if "note" in eobj else None,
-            )
-        )
-    return DocumentOptions(name=name, notes=notes, expected=tuple(expected))
+    return DocumentOptions(name=name, notes=notes, expected=expected)
+
+
+def _parse_expected(raw, path: str, model: MorphModel) -> ExpectedSolution:
+    obj = _obj(
+        raw,
+        path,
+        required={"name", "node", "picks", "quality"},
+        optional={"kind", "note"},
+    )
+    picks = _map(obj["picks"], f"{path}.picks", _str)
+    qobj = _obj(obj["quality"], f"{path}.quality", required={"w", "e"}, optional=set())
+    e = _items(qobj["e"], f"{path}.quality.e", _int)
+    if len(e) != model.scale.levels:
+        raise DocumentError([f"{path}.quality.e: expected {model.scale.levels} levels"])
+    kind = obj.get("kind", "ordinal")
+    if kind not in ("ordinal", "median"):
+        raise DocumentError([f"{path}.kind: expected ordinal|median, got {kind!r}"])
+    node = _str(obj["node"], f"{path}.node")
+    _check_picks(model, node, picks, path)
+    return ExpectedSolution(
+        name=_str(obj["name"], f"{path}.name"),
+        node=node,
+        picks=picks,
+        w=_int(qobj["w"], f"{path}.quality.w"),
+        e=e,
+        kind=kind,
+        note=_str(obj["note"], f"{path}.note") if "note" in obj else None,
+    )
 
 
 def _check_picks(model: MorphModel, node: str, picks: Mapping[str, str], path: str) -> None:

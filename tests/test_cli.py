@@ -244,6 +244,28 @@ def test_lone_surrogate_in_the_name_is_a_usage_error(tmp_path, capsys):
     assert run_main(capsys, ["synth", str(path)]) == (2, "", message)
 
 
+def test_validate_json_of_a_surrogate_key_encodes(tmp_path):
+    doc = json.loads(fixture_text("arkticheskoe"))
+    doc["components"][8]["priority_overrides"] = {"\ud800": "x"}
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    result = run_command(["validate", str(path), "--format", "json"])
+    assert result.code == 2
+    result.output.encode("utf-8")
+    assert json.loads(result.output)["validation"] == [
+        "$.components[8].priority_overrides: lone surrogate in '\\ud800'"
+    ]
+
+
+def test_validate_json_of_an_overlong_integer_is_a_report(tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"morph_schema": ' + "1" * 5000 + "}")
+    result = run_command(["validate", str(path), "--format", "json"])
+    assert result.code == 2
+    [diagnostic] = json.loads(result.output)["validation"]
+    assert diagnostic.startswith("malformed JSON: Exceeds the limit (4300")
+
+
 def test_validate_reports_diagnostics(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")

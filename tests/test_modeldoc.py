@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,34 @@ BROKEN_KNAPSACKS = {
         _set("groups", 0, "items", 1, "cost", math.inf),
         "$.knapsack.groups[0].items[1].cost: expected finite number, got inf",
     ),
+    "cost-not-a-number": (
+        _set("groups", 0, "items", 0, "cost", "1"),
+        "$.knapsack.groups[0].items[0].cost: expected number, got '1'",
+    ),
+    "boolean-budget": (
+        _set("budgets", [True]),
+        "$.knapsack.budgets[0]: expected number, got True",
+    ),
+    "budgets-not-an-array": (
+        _set("budgets", 3),
+        "$.knapsack.budgets: expected array, got int",
+    ),
+    "kernel-not-an-object": (
+        _set("kernel", ["A", "a1"]),
+        "$.knapsack.kernel: expected object",
+    ),
+    "kernel-pick-not-a-string": (
+        _set("kernel", {"A": 1}),
+        "$.knapsack.kernel[A]: expected non-empty string, got 1",
+    ),
+    "empty-group": (
+        _set("groups", 1, "items", []),
+        "$.knapsack.groups[1].items: group is empty",
+    ),
+    "group-unknown-key": (
+        _set("groups", 0, "label", "x"),
+        "$.knapsack.groups[0]: unknown keys ['label']",
+    ),
 }
 
 
@@ -291,6 +320,362 @@ def test_broken_knapsack_is_a_document_error(case):
     with pytest.raises(DocumentError) as err:
         parse_model(knapsack_doc_text(edit))
     assert err.value.diagnostics == [diagnostic]
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: one single-fault document per DocumentError site of the
+# parser and per validate_model code, with its exact diagnostics
+# ---------------------------------------------------------------------------
+
+_DROP = object()
+
+
+def edit(raw: dict, *steps, value=_DROP) -> dict:
+    """A copy of ``raw`` with the member at ``steps`` set to ``value``
+    (appended, one past the end of an array), or dropped."""
+    raw = json.loads(json.dumps(raw))
+    target = raw
+    for key in steps[:-1]:
+        target = target[key]
+    key = steps[-1]
+    if value is _DROP:
+        del target[key]
+    elif isinstance(target, list) and key == len(target):
+        target.append(value)
+    else:
+        target[key] = value
+    return raw
+
+
+ARKTICHESKOE = json.loads(fixture_text("arkticheskoe"))
+
+
+def _validation(*lines):
+    return [f"validation: {line}" for line in lines]
+
+
+# What int() says of a literal of 5,000 digits; its text differs
+# between Python versions.
+try:
+    int("1" * 5000)
+except ValueError as exc:
+    DIGIT_LIMIT = str(exc)
+
+# Each document is JSON text or a value to write as JSON.
+DIAGNOSTICS = {
+    "malformed-json": (
+        "{ not json",
+        ["malformed JSON at line 1, column 3: Expecting property name enclosed in double quotes"],
+    ),
+    "nested-too-deeply": (
+        "[" * 100_000 + "]" * 100_000,
+        ["malformed JSON: arrays or objects nest too deeply"],
+    ),
+    "integer-past-the-digit-limit": (
+        '{"morph_schema": ' + "1" * 5000 + "}",
+        [f"malformed JSON: {DIGIT_LIMIT}"],
+    ),
+    "not-an-object": ([MINIMAL], ["$: expected object, got list"]),
+    "missing-key": (edit(MINIMAL, "root"), ["$: missing keys ['root']"]),
+    "unknown-key": (edit(MINIMAL, "extra", value=1), ["$: unknown keys ['extra']"]),
+    "missing-and-unknown-keys": (
+        edit(MINIMAL, "scale", value={"l": 3, "levels": 4}),
+        ["$.scale: missing keys ['nu']", "$.scale: unknown keys ['levels']"],
+    ),
+    "schema-not-an-integer": (
+        edit(MINIMAL, "morph_schema", value="1"),
+        ["$.morph_schema: expected integer, got '1'"],
+    ),
+    "schema-version": (
+        edit(MINIMAL, "morph_schema", value=2),
+        ["$.morph_schema: unsupported version 2"],
+    ),
+    "scale-not-an-object": (
+        edit(MINIMAL, "scale", value=[3, 4]),
+        ["$.scale: expected object, got list"],
+    ),
+    "levels-out-of-range": (
+        edit(MINIMAL, "scale", "l", value=0),
+        ["$.scale: levels must be in [1, 16]: 0"],
+    ),
+    "nu-out-of-range": (
+        edit(MINIMAL, "scale", "nu", value=17),
+        ["$.scale: max_compat must be in [1, 16]: 17"],
+    ),
+    "levels-not-an-integer": (
+        edit(MINIMAL, "scale", "l", value="x"),
+        ["$.scale.l: expected integer, got 'x'"],
+    ),
+    "boolean-levels": (
+        edit(MINIMAL, "scale", "l", value=True),
+        ["$.scale.l: expected integer, got True"],
+    ),
+    "float-nu": (
+        edit(MINIMAL, "scale", "nu", value=1.5),
+        ["$.scale.nu: expected integer, got 1.5"],
+    ),
+    "root-not-a-string": (
+        edit(MINIMAL, "root", value=7),
+        ["$.root: expected non-empty string, got 7"],
+    ),
+    "empty-root": (
+        edit(MINIMAL, "root", value=""),
+        ["$.root: expected non-empty string, got ''"],
+    ),
+    "components-not-an-array": (
+        edit(MINIMAL, "components", value={}),
+        ["$.components: expected array, got dict"],
+    ),
+    "component-not-an-object": (
+        edit(MINIMAL, "components", 0, value="A"),
+        ["$.components[0]: expected object, got str"],
+    ),
+    "component-unknown-key": (
+        edit(MINIMAL, "components", 0, "color", value="red"),
+        ["$.components[0]: unknown keys ['color']"],
+    ),
+    "component-id-not-a-string": (
+        edit(MINIMAL, "components", 0, "id", value=1),
+        ["$.components[0].id: expected non-empty string, got 1"],
+    ),
+    "unknown-kind": (
+        edit(MINIMAL, "components", 0, "kind", value="branch"),
+        ["$.components[0].kind: expected leaf|composite, got 'branch'"],
+    ),
+    "duplicate-component": (
+        edit(MINIMAL, "components", 1, "id", value="A"),
+        ["$.components[1]: duplicate component id 'A'"],
+    ),
+    "leaf-lists-children": (
+        edit(MINIMAL, "components", 0, "children", value=["B"]),
+        ["$.components[0]: leaf component lists children"],
+    ),
+    "composite-lists-no-children": (
+        edit(MINIMAL, "components", 2, "children", value=[]),
+        ["$.components[2]: composite component lists no children"],
+    ),
+    "children-not-an-array": (
+        edit(MINIMAL, "components", 2, "children", value="AB"),
+        ["$.components[2].children: expected array, got str"],
+    ),
+    "child-not-a-string": (
+        edit(MINIMAL, "components", 2, "children", 1, value=2),
+        ["$.components[2].children[1]: expected non-empty string, got 2"],
+    ),
+    "das-not-an-array": (
+        edit(MINIMAL, "components", 0, "das", value={}),
+        ["$.components[0].das: expected array, got dict"],
+    ),
+    "alternative-missing-priority": (
+        edit(MINIMAL, "components", 0, "das", 0, "priority"),
+        ["$.components[0].das[0]: missing keys ['priority']"],
+    ),
+    "boolean-priority": (
+        edit(MINIMAL, "components", 0, "das", 0, "priority", value=True),
+        ["$.components[0].das[0].priority: expected integer, got True"],
+    ),
+    "annotations-not-an-object": (
+        edit(MINIMAL, "components", 0, "das", 0, "annotations", value=["x"]),
+        ["$.components[0].das[0].annotations: expected object"],
+    ),
+    "annotation-not-a-string": (
+        edit(MINIMAL, "components", 0, "das", 0, "annotations", value={"note": 1}),
+        ["$.components[0].das[0].annotations[note]: expected non-empty string, got 1"],
+    ),
+    "estimate-not-an-array": (
+        edit(MINIMAL, "components", 0, "das", 0, "estimate", value=3),
+        ["$.components[0].das[0].estimate: expected array, got int"],
+    ),
+    "estimate-count-not-an-integer": (
+        edit(MINIMAL, "components", 0, "das", 0, "estimate", value=[1, 0.5, 0]),
+        ["$.components[0].das[0].estimate[1]: expected integer, got 0.5"],
+    ),
+    "compat-missing-default": (
+        edit(MINIMAL, "components", 2, "compat", "default"),
+        ["$.components[2].compat: missing keys ['default']"],
+    ),
+    "pair-not-an-array": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, value="a1"),
+        ["$.components[2].compat.pairs[0]: expected array, got str"],
+    ),
+    "pair-shape": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, value=["a1", "b1"]),
+        ["$.components[2].compat.pairs[0]: expected [id, id, value]"],
+    ),
+    "pair-value-not-an-integer": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, value=["a1", "b1", "3"]),
+        ["$.components[2].compat.pairs[0][2]: expected integer, got '3'"],
+    ),
+    "conflicting-duplicate-pair": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 1, value=["b1", "a1", 1]),
+        ["$.components[2].compat.pairs[1]: conflicting duplicate for pair ('a1', 'b1')"],
+    ),
+    "overrides-not-an-object": (
+        edit(MINIMAL, "components", 2, "priority_overrides", value=[]),
+        ["$.components[2].priority_overrides: expected object"],
+    ),
+    "override-not-an-integer": (
+        edit(MINIMAL, "components", 2, "priority_overrides", value={"a1*b1": "1"}),
+        ["$.components[2].priority_overrides[a1*b1]: expected integer, got '1'"],
+    ),
+    # A lone surrogate is reported where it is read, before any check
+    # that would write it into a diagnostic.
+    "surrogate-override-label": (
+        edit(ARKTICHESKOE, "components", 8, "priority_overrides", value={"\ud800": "x"}),
+        ["$.components[8].priority_overrides: lone surrogate in '\\ud800'"],
+    ),
+    "surrogate-ids-that-repeat": (
+        edit(
+            MINIMAL, "components", 0, "das",
+            value=[{"id": "\ud800", "priority": 1}, {"id": "\ud800", "priority": 2}],
+        ),
+        ["$.components[0].das[0].id: lone surrogate in '\\ud800'"],
+    ),
+    # validate_model, one row per code.
+    "root-missing": (
+        edit(MINIMAL, "root", value="Z"),
+        _validation(
+            "[root-missing] Z: root component is not defined",
+            "[unreachable] A: component is not reachable from the root",
+            "[unreachable] B: component is not reachable from the root",
+            "[unreachable] N: component is not reachable from the root",
+        ),
+    ),
+    "tree-shape": (
+        edit(MINIMAL, "components", 2, "children", value=["A", "B", "A"]),
+        _validation("[tree-shape] A: reached from both 'N' and 'N'"),
+    ),
+    "child-missing": (
+        edit(MINIMAL, "components", 2, "children", value=["A", "B", "C"]),
+        _validation("[child-missing] C: child of 'N' is not defined"),
+    ),
+    "unreachable": (
+        edit(MINIMAL, "components", 3, value={"id": "C", "kind": "leaf", "das": [{"id": "c1", "priority": 1}]}),
+        _validation("[unreachable] C: component is not reachable from the root"),
+    ),
+    "empty-leaf": (
+        edit(MINIMAL, "components", 1, "das", value=[]),
+        _validation(
+            "[empty-leaf] B: leaf component has no alternatives",
+            "[compat-reference] N.compat[a1,b1]: 'b1' is not an alternative of any leaf child",
+        ),
+    ),
+    "leaf-compat": (
+        edit(MINIMAL, "components", 0, "compat", value={"default": 0, "pairs": []}),
+        _validation("[leaf-compat] A: leaf component carries a compatibility table"),
+    ),
+    "leaf-overrides": (
+        edit(MINIMAL, "components", 0, "priority_overrides", value={"a1": 1}),
+        _validation("[leaf-overrides] A: leaf component carries priority overrides"),
+    ),
+    "composite-das": (
+        edit(MINIMAL, "components", 2, "das", value=[{"id": "n1", "priority": 1}]),
+        _validation("[composite-das] N: composite component carries alternatives"),
+    ),
+    "bad-id": (
+        edit(MINIMAL, "components", 0, "das", 0, "id", value="a*1"),
+        _validation(
+            "[bad-id] A.a*1: alternative id must be non-empty and free of '*'",
+            "[compat-reference] N.compat[a1,b1]: 'a1' is not an alternative of any leaf child",
+        ),
+    ),
+    "duplicate-id": (
+        edit(MINIMAL, "components", 0, "das", 1, value={"id": "a1", "priority": 2}),
+        _validation("[duplicate-id] A.a1: alternative id repeats within the component"),
+    ),
+    "priority-range": (
+        edit(MINIMAL, "components", 0, "das", 0, "priority", value=4),
+        _validation("[priority-range] A.a1: priority 4 out of [1, 3]"),
+    ),
+    "estimate-shape": (
+        edit(MINIMAL, "components", 0, "das", 0, "estimate", value=[1, 0]),
+        _validation("[estimate-shape] A.a1: estimate has 2 levels, scale has 3"),
+    ),
+    "estimate-negative": (
+        edit(MINIMAL, "components", 0, "das", 0, "estimate", value=[1, 0, -1]),
+        _validation("[estimate-negative] A.a1: estimate counts must be nonnegative"),
+    ),
+    "override-range": (
+        edit(MINIMAL, "components", 2, "priority_overrides", value={"a1*b1": 4}),
+        _validation("[override-range] N[a1*b1]: priority 4 out of [1, 3]"),
+    ),
+    "compat-default-range": (
+        edit(MINIMAL, "components", 2, "compat", "default", value=5),
+        _validation("[compat-range] N.compat: default 5 out of [0, 4]"),
+    ),
+    "compat-value-range": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, 2, value=5),
+        _validation("[compat-range] N.compat[a1,b1]: value 5 out of [0, 4]"),
+    ),
+    "compat-reference": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, 1, value="z1"),
+        _validation("[compat-reference] N.compat[a1,z1]: 'z1' is not an alternative of any leaf child"),
+    ),
+    "compat-intra-child": (
+        edit(
+            edit(MINIMAL, "components", 0, "das", 1, value={"id": "a2", "priority": 2}),
+            "components", 2, "compat", "pairs", 0, 1, value="a2",
+        ),
+        _validation("[compat-intra-child] N.compat[a1,a2]: both picks belong to child 'A'"),
+    ),
+    # Options, on a fixture that carries them.
+    "options-not-an-object": (
+        edit(ARKTICHESKOE, "options", value=[]),
+        ["$.options: expected object, got list"],
+    ),
+    "name-not-a-string": (
+        edit(ARKTICHESKOE, "options", "name", value=3),
+        ["$.options.name: expected non-empty string, got 3"],
+    ),
+    "notes-not-an-array": (
+        edit(ARKTICHESKOE, "options", "notes", value="x"),
+        ["$.options.notes: expected array, got str"],
+    ),
+    "expected-missing-quality": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "quality"),
+        ["$.options.expected[0]: missing keys ['quality']"],
+    ),
+    "picks-not-an-object": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "picks", value=[]),
+        ["$.options.expected[0].picks: expected object"],
+    ),
+    "pick-not-a-string": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "picks", "P", value=3),
+        ["$.options.expected[0].picks[P]: expected non-empty string, got 3"],
+    ),
+    "expected-levels": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "quality", "e", value=[1, 1]),
+        ["$.options.expected[0].quality.e: expected 3 levels"],
+    ),
+    "expected-w-not-an-integer": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "quality", "w", value="4"),
+        ["$.options.expected[0].quality.w: expected integer, got '4'"],
+    ),
+    "expected-kind": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "kind", value="mean"),
+        ["$.options.expected[0].kind: expected ordinal|median, got 'mean'"],
+    ),
+    "expected-node-is-a-leaf": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "node", value="P"),
+        ["$.options.expected[0]: 'P' is not a composite component"],
+    ),
+    "expected-picks-miss-a-child": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "picks", "Q"),
+        ["$.options.expected[0].picks: expected picks for ['P', 'Q'], got ['P']"],
+    ),
+    "expected-pick-unknown": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "picks", "Q", value="Q9"),
+        ["$.options.expected[0].picks[Q]: component Q has no alternative 'Q9'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTICS))
+def test_each_fault_has_its_exact_diagnostics(case):
+    document, diagnostics = DIAGNOSTICS[case]
+    with pytest.raises(DocumentError) as err:
+        parse_model(document if isinstance(document, str) else json.dumps(document))
+    assert err.value.diagnostics == diagnostics
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -408,11 +793,23 @@ def parse_and_serialize(text: str):
     return doc, serialized
 
 
+def json_text(value, ascii_only: bool) -> str:
+    """``value`` as JSON text, integers longer than int() converts
+    included, so that only the parser meets that limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value, ensure_ascii=ascii_only)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @fuzz_settings
 @given(json_values, st.booleans())
 @example({**MINIMAL, "options": {"name": "\ud800"}}, True)
+@example({**MINIMAL, "morph_schema": 10**4999}, True)
 def test_parser_raises_only_document_errors_on_any_json(value, ascii_only):
-    parse_and_serialize(json.dumps(value, ensure_ascii=ascii_only))
+    parse_and_serialize(json_text(value, ascii_only))
 
 
 def places(value, path=()):
