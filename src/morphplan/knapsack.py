@@ -3,12 +3,19 @@ knapsack: pick exactly one candidate per open group, maximizing profit
 under a cost budget. A ratio-greedy pass gives the quick answer; an
 exact list dynamic program over reachable (cost, profit) states
 provides the optimum and every selection attaining it.
+
+Costs, profits and budgets are ints or Fractions (a float is read at
+its exact binary value). Each solve scales them once to exact ints by
+the least common denominator of the costs and that of the profits, and
+builds no budget grid, so both solvers add and compare ints however
+fine the numbers are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .model import MorphError
@@ -98,49 +105,110 @@ class Selection:
 
 
 # ---------------------------------------------------------------------------
-# Greedy
+# Exact integers
 # ---------------------------------------------------------------------------
 
 
-def _ratio_key(item: ChoiceItem):
-    # Free profit sorts first; otherwise larger profit/cost first.
-    if item.cost == 0:
-        return (0, -item.profit)
-    return (1, Fraction(-item.profit, item.cost))
+def _exact(value) -> Number:
+    # A float counts at its exact binary value.
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
+def _integer_view(instance: KnapsackInstance):
+    """The instance on exact ints, computed once per solve: each group
+    as ``(cost, profit, item)`` triples with every cost multiplied by
+    ``cost_scale`` and every profit by ``profit_scale``, the least common
+    denominators of the costs and of the profits, and the budget as the
+    largest int cost it admits, ``floor(budget * cost_scale)``.
+    Multiplying by a positive constant keeps every sum, comparison and
+    ratio order, so the solvers decide exactly as on the given numbers.
+    An instance of ints is its own view and builds no Fraction.
+    Returns ``(groups, budget, cost_scale, profit_scale)``."""
+    groups = [[(item.cost, item.profit, item) for item in group] for group in instance.groups]
+    cost_scale = profit_scale = 1
+    if not all(
+        type(cost) is int and type(profit) is int for group in groups for cost, profit, _ in group
+    ):
+        exact = [
+            [(_exact(cost), _exact(profit), item) for cost, profit, item in group]
+            for group in groups
+        ]
+        cost_scale = lcm(*{cost.denominator for group in exact for cost, _, _ in group})
+        profit_scale = lcm(*{profit.denominator for group in exact for _, profit, _ in group})
+        groups = [
+            [
+                (
+                    cost.numerator * (cost_scale // cost.denominator),
+                    profit.numerator * (profit_scale // profit.denominator),
+                    item,
+                )
+                for cost, profit, item in group
+            ]
+            for group in exact
+        ]
+    budget = _exact(instance.budget)
+    return groups, budget.numerator * cost_scale // budget.denominator, cost_scale, profit_scale
+
+
+def _unscaled(total: int, scale: int) -> Number:
+    return total if scale == 1 else Fraction(total, scale)
+
+
+# ---------------------------------------------------------------------------
+# Greedy
+# ---------------------------------------------------------------------------
 
 
 def greedy_mckp(instance: KnapsackInstance) -> Selection:
     """Ratio-ordered greedy pass with a feasibility reserve.
 
-    Items are considered by descending profit/cost ratio (ties broken
-    by higher profit, then lower cost, then id order). An
-    item is taken only if the remaining budget still covers the
-    cheapest item of every other unfilled group, so the pass fills
-    every group whenever that is possible at all.
+    Items are considered by descending profit/cost ratio (free profit
+    first; ties broken by higher profit, then lower cost, then id
+    order). An item is taken only if the remaining budget still covers
+    the cheapest item of every other unfilled group, so the pass fills
+    every group whenever that is possible at all. Costs and profits are
+    scaled once to exact ints by their least common denominators; no
+    budget grid is built.
     """
-    if instance.min_cost_total() > instance.budget:
+    groups, budget, cost_scale, profit_scale = _integer_view(instance)
+    min_cost = [min(cost for cost, _, _ in group) for group in groups]
+    unfilled_min = sum(min_cost)
+    if unfilled_min > budget:
         return Selection.infeasible()
+    # With every cost below 2**b, two distinct ratios p/c and p'/c'
+    # differ by at least 1/(c*c') > 2**-2b, so at shift 2b their floors
+    # differ in the same order, and equal ratios floor alike: the int
+    # key orders the ratios exactly.
+    shift = 2 * max((cost for group in groups for cost, _, _ in group), default=0).bit_length()
+
+    def ratio_order(entry):
+        cost, profit, item, _ = entry
+        ratio = -((profit << shift) // cost) if cost else -profit
+        return (cost > 0, ratio, -profit, cost, item.id)
+
     order = sorted(
-        (item for group in instance.groups for item in group),
-        key=lambda it: (_ratio_key(it), -it.profit, it.cost, it.id),
+        ((cost, profit, item, g) for g, group in enumerate(groups) for cost, profit, item in group),
+        key=ratio_order,
     )
-    min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
-    unfilled = set(min_cost)
-    unfilled_min = sum(min_cost.values())  # exact: costs are int or Fraction
-    chosen: dict[str, ChoiceItem] = {}
-    remaining = instance.budget
-    for item in order:
-        if item.group not in unfilled:
+    chosen: dict[int, tuple[int, int, ChoiceItem]] = {}
+    remaining = budget
+    for cost, profit, item, g in order:
+        if g in chosen:
             continue
-        reserve = unfilled_min - min_cost[item.group]
-        if item.cost + reserve <= remaining:
-            chosen[item.group] = item
-            unfilled.remove(item.group)
+        reserve = unfilled_min - min_cost[g]
+        if cost + reserve <= remaining:
+            chosen[g] = (cost, profit, item)
             unfilled_min = reserve
-            remaining -= item.cost
-    if unfilled:
+            remaining -= cost
+    if len(chosen) < len(groups):
         return Selection.infeasible()
-    return Selection.of([chosen[g[0].group] for g in instance.groups])
+    picks = [chosen[g] for g in range(len(groups))]
+    return Selection(
+        chosen=tuple(item for _, _, item in picks),
+        total_cost=_unscaled(sum(cost for cost, _, _ in picks), cost_scale),
+        total_profit=_unscaled(sum(profit for _, profit, _ in picks), profit_scale),
+        feasible=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +220,20 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
     """Every profit-maximal feasible selection, via a list dynamic
     program over reachable (cost, profit) states (Nemhauser & Ullmann
     1969, applied to the multiple choice knapsack as in Kellerer,
-    Pferschy & Pisinger 2004, ch. 11). Arithmetic stays exact in int or
-    Fraction, so the work does not depend on how fine the costs are.
-    Returns () when no selection fits the budget."""
-    if instance.min_cost_total() > instance.budget:
+    Pferschy & Pisinger 2004, ch. 11). Costs and profits are scaled
+    once to exact ints by their least common denominators, so the states
+    add and compare ints; only reachable states are kept, never a budget
+    grid, so the work does not depend on how fine the costs are. Each
+    selection takes its totals from its final state. Returns () when no
+    selection fits the budget."""
+    groups, budget, cost_scale, profit_scale = _integer_view(instance)
+    min_cost = [min(cost for cost, _, _ in group) for group in groups]
+    if sum(min_cost) > budget:
         return ()
-    groups = instance.groups
     # reserve[g]: the least cost of filling the groups after group g
     reserve = [0] * len(groups)
     for g in range(len(groups) - 1, 0, -1):
-        reserve[g - 1] = reserve[g] + min(item.cost for item in groups[g])
+        reserve[g - 1] = reserve[g] + min_cost[g]
 
     # layers[g]: the states after the first g groups, each with its
     # (previous state, item) back-pointers. A state is kept while the
@@ -169,16 +241,16 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
     # only when another state has no more cost and strictly more profit:
     # a state with equal profit at a higher cost can still be co-optimal.
     # So each layer holds at most one state per distinct cost.
-    layers: list[dict[tuple[Number, Number], list]] = [{(0, 0): []}]
+    layers: list[dict[tuple[int, int], list]] = [{(0, 0): []}]
     for group, room in zip(groups, reserve):
-        limit = instance.budget - room
-        reached: dict[tuple[Number, Number], list] = {}
+        limit = budget - room
+        reached: dict[tuple[int, int], list] = {}
         for state in layers[-1]:
             cost, profit = state
-            for item in group:
-                total = cost + item.cost
+            for item_cost, item_profit, item in group:
+                total = cost + item_cost
                 if total <= limit:
-                    key = (total, profit + item.profit)
+                    key = (total, profit + item_profit)
                     reached.setdefault(key, []).append((state, item))
         kept = {}
         best = None
@@ -192,17 +264,22 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
     # stack, so that many groups cannot exhaust the recursion limit. A
     # path is fixed by its items, so each optimal selection is found once.
     optimum = max(profit for _, profit in layers[-1])
-    selections: list[tuple[ChoiceItem, ...]] = []
-    stack = [(len(groups), state, ()) for state in layers[-1] if state[1] == optimum]
+    total_profit = _unscaled(optimum, profit_scale)
+    selections: list[Selection] = []
+    stack = [
+        (len(groups), state, (), _unscaled(state[0], cost_scale))
+        for state in layers[-1]
+        if state[1] == optimum
+    ]
     while stack:
-        g, state, suffix = stack.pop()
+        g, state, suffix, total_cost = stack.pop()
         if g == 0:
-            selections.append(suffix)
+            selections.append(Selection(suffix, total_cost, total_profit, feasible=True))
             continue
         for previous, item in layers[g][state]:
-            stack.append((g - 1, previous, (item,) + suffix))
-    selections.sort(key=lambda sel: tuple(it.id for it in sel))
-    return tuple(Selection.of(sel) for sel in selections)
+            stack.append((g - 1, previous, (item,) + suffix, total_cost))
+    selections.sort(key=Selection.item_ids)
+    return tuple(selections)
 
 
 # ---------------------------------------------------------------------------

@@ -450,11 +450,15 @@ def _check_picks(model: MorphModel, node: str, picks: Mapping[str, str], path: s
 
 def number_out(value):
     """A parsed number in JSON form: a whole Fraction as an int, any
-    other Fraction as a float."""
+    other Fraction as a float. A non-whole Fraction beyond the float
+    range is a ValueError, which the CLI reports as a usage error."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("non-whole number too large to write as a float") from None
     return value
 
 

@@ -535,6 +535,37 @@ def test_aggregate_exact_with_a_nanocent_cost(tmp_path):
         assert len(entry["alternatives"]) == len(combos) - 1
 
 
+HUGE_NON_WHOLE = "1" + "0" * 400 + ".5"
+FLOAT_RANGE_ERROR = "error: non-whole number too large to write as a float\n"
+
+
+@pytest.mark.parametrize("command", ["aggregate", "report"])
+@pytest.mark.parametrize("method", ["exact", "greedy"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_non_whole_budget_is_a_usage_error(command, method, fmt):
+    argv = [command, REGION, "--budget", HUGE_NON_WHOLE, "--method", method, "--format", fmt]
+    result = run_command(argv)
+    assert (result.code, result.output) == (2, FLOAT_RANGE_ERROR)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "report"])
+@pytest.mark.parametrize("method", ["exact", "greedy"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_non_whole_total_is_a_usage_error(tmp_path, command, method, fmt):
+    doc = json.loads(fixture_text("yamal_region"))
+    doc["knapsack"]["groups"][0]["items"] = [
+        {"id": "huge", "cost": 10**400, "profit": 1},
+        {"id": "huger", "cost": 2 * 10**400, "profit": 1},
+    ]
+    doc["knapsack"]["groups"][1]["items"][0]["cost"] = 0.5
+    doc["knapsack"]["budgets"] = [10**401]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]).code == 0
+    result = run_command([command, str(path), "--method", method, "--format", fmt])
+    assert (result.code, result.output) == (2, FLOAT_RANGE_ERROR)
+
+
 @pytest.mark.parametrize("case", sorted(BROKEN_KNAPSACKS))
 def test_broken_knapsack_fails_validate_and_aggregate(case, tmp_path):
     edit, diagnostic = BROKEN_KNAPSACKS[case]

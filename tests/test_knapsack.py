@@ -371,6 +371,115 @@ def test_list_dp_equals_grid_dp(instance):
 
 
 # ---------------------------------------------------------------------------
+# mixed numbers against brute force
+# ---------------------------------------------------------------------------
+
+mixed_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Values a model document can carry: ints, Fractions over small and
+# very fine denominators, magnitudes up to 10**300, and zero.
+_mixed_values = st.one_of(
+    st.just(0),
+    st.integers(0, 12),
+    st.builds(
+        lambda n, d: Fraction(n, d),
+        st.integers(0, 40),
+        st.sampled_from((2, 3, 100, 10**9)),
+    ),
+    st.builds(
+        lambda k, n: k * 10**299 // 7**n,
+        st.integers(1, 10),
+        st.integers(0, 3),
+    ),
+)
+
+
+@st.composite
+def mixed_instances(draw, max_groups: int = 5, max_product: int = 256):
+    """Up to ``max_groups`` groups mixing the values above in costs,
+    profits and the budget, some groups fully tied, with budgets near
+    the sum of the group minima."""
+    groups = []
+    room = max_product
+    for g in range(draw(st.integers(0, max_groups))):
+        size = max(1, min(4, room))
+        if draw(st.booleans()):
+            pair = (draw(_mixed_values), draw(_mixed_values))
+            pairs = [pair] * draw(st.integers(1, size))  # fully tied
+        else:
+            pairs = draw(
+                st.lists(st.tuples(_mixed_values, _mixed_values), min_size=1, max_size=size)
+            )
+        room = max(1, room // len(pairs))
+        groups.append(
+            tuple(ChoiceItem(f"g{g}i{j}", f"g{g}", c, p) for j, (c, p) in enumerate(pairs))
+        )
+    floor = sum(min(item.cost for item in group) for group in groups)
+    budget = draw(
+        st.one_of(
+            _mixed_values,
+            st.builds(lambda slack: floor + slack, _mixed_values),
+            st.builds(lambda slack: max(0, floor - slack), _mixed_values),
+        )
+    )
+    return KnapsackInstance(groups=tuple(groups), budget=budget)
+
+
+@mixed_settings
+@given(mixed_instances())
+@example(KnapsackInstance(groups=(), budget=0))
+@example(
+    KnapsackInstance(
+        groups=(
+            (ChoiceItem("a", "A", Fraction(1, 10**9), 10**300), ChoiceItem("b", "A", 0, 10**300)),
+            (ChoiceItem("c", "B", Fraction(1, 3), Fraction(1, 2)),),
+        ),
+        budget=Fraction(1, 3),
+    )
+)
+def test_exact_and_greedy_on_mixed_numbers(instance):
+    profit, combos = brute_optima(instance)
+    optima = exact_mckp(instance)
+    assert sorted(sel.item_ids() for sel in optima) == combos
+    for sel in optima:
+        assert sel.total_cost == sum(item.cost for item in sel.chosen)
+        assert sel.total_profit == sum(item.profit for item in sel.chosen) == profit
+    greedy = greedy_mckp(instance)
+    assert greedy == greedy_summing_reserve(instance)
+    if greedy.feasible:
+        assert greedy.total_cost == sum(item.cost for item in greedy.chosen)
+        assert greedy.total_profit == sum(item.profit for item in greedy.chosen)
+
+
+def test_float_costs_are_read_at_their_exact_binary_value():
+    # As floats 0.1 + 0.2 rounds up past the sum of their exact values,
+    # so only exact reading fits both items into that sum.
+    exact_sum = Fraction(0.1) + Fraction(0.2)
+    groups = ((ChoiceItem("a", "A", 0.1, 1),), (ChoiceItem("b", "B", 0.2, 1),))
+    inst = KnapsackInstance(groups=groups, budget=exact_sum)
+    (optimum,) = exact_mckp(inst)
+    assert optimum.item_ids() == ("a", "b")
+    assert optimum.total_cost == exact_sum != 0.1 + 0.2
+    assert greedy_mckp(inst) == optimum
+    below = KnapsackInstance(groups=groups, budget=exact_sum - Fraction(1, 2**80))
+    assert exact_mckp(below) == ()
+    assert not greedy_mckp(below).feasible
+
+
+def test_int_instances_keep_int_totals(catalogue):
+    for budget in (*catalogue.budgets, Fraction(21, 2), 1000):
+        inst = catalogue.instance(budget)
+        selections = (greedy_mckp(inst), *exact_mckp(inst))
+        plans = (
+            extend_kernel(catalogue.kernel, inst, method="greedy"),
+            extend_kernel(catalogue.kernel, inst, method="exact"),
+        )
+        for found in (*selections, *plans):
+            assert found.feasible
+            assert type(found.total_cost) is int and type(found.total_profit) is int
+
+
+# ---------------------------------------------------------------------------
 # kernel extension
 # ---------------------------------------------------------------------------
 
