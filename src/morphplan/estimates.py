@@ -10,7 +10,11 @@ a set of observed estimates, found by a dynamic program over the
 prefix sums of the counts rather than by listing the domain.
 Estimate-carrying alternatives can be composed like ranked ones,
 scoring a selection by its consensus estimate instead of priority
-counts.
+counts. Composition lists the domain once per node when a bound
+computed up front says it is small (no more estimates than the cost
+rows the dynamic program would fill for the node's selections) and
+reads every selection's consensus off a table of per-candidate
+deviations; otherwise it runs the dynamic program per selection.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 from .model import (
     Component,
     CompositeSolution,
+    DesignAlternative,
     InvalidComparisonError,
     MorphModel,
     QualityVector,
@@ -347,6 +353,18 @@ def multiset_synthesize(
     co-minimal consensus estimates the best-first one is used.
     Dominance for layering requires better-or-equal w, dominated-or-
     equal consensus counts, and no larger deviation.
+
+    The consensus comes from one of two engines, chosen from the
+    node's size before the walk; both give ``generalized_median``'s
+    best estimate and deviation. With P the product of the children's
+    candidate counts, the domain is listed when
+    binomial(levels + eta - 1, eta) <= min(P, levels * eta + 1) *
+    (levels - 1) * (eta + 1): no more estimates than the cost rows the
+    dynamic program would fill for P selections, and than one ``max``
+    table. Each distinct candidate estimate then gets one row of its
+    deviations to every domain estimate, and a selection's consensus is
+    the first minimum of its picks' rows added up. Otherwise each
+    selection runs ``generalized_median``.
     """
     lists = child_candidates(node, model, None)
     for child_id, cands in lists:
@@ -355,25 +373,83 @@ def multiset_synthesize(
                 raise SolutionError(
                     f"alternative {cand.id!r} of child {child_id!r} carries no estimate"
                 )
-    check_counts(cand.estimate for _, cands in lists for cand in cands)
+    estimates = [cand.estimate for _, cands in lists for cand in cands]
+    check_counts(estimates)
+    if metric not in ("max", "sum"):
+        raise ValueError(f"unknown metric {metric!r}")
+    levels, eta = len(estimates[0]), sum(estimates[0])
+    _check_shape(levels, eta)
+
+    # The dynamic program fills (levels - 1) * (eta + 1) rows per
+    # selection, each of up to levels * eta + 1 entries under max.
+    selections = math.prod(len(cands) for _, cands in lists)
+    rows_filled = min(selections, levels * eta + 1) * (levels - 1) * (eta + 1)
+    if multiset_number(levels, eta) <= rows_filled:
+        consensus = _consensus_by_table(lists, levels, eta, enforce_gap_rule, metric)
+    else:
+        consensus = _consensus_by_dp(lists, enforce_gap_rule, metric)
 
     solutions = []
     for picks, w, _ in admissible_states(node, model, lists):
-        chosen = [cands[a] for (_, cands), a in zip(lists, picks)]
-        median = generalized_median(
-            [c.estimate for c in chosen],
-            enforce_gap_rule=enforce_gap_rule,
-            metric=metric,
-        )
+        best, deviation = consensus(picks)
         solutions.append(
             CompositeSolution(
                 node=node.id,
-                picks=tuple((child_id, c.id) for (child_id, _), c in zip(lists, chosen)),
-                quality=QualityVector(w=w, e=median.best),
-                deviation=median.deviation,
+                picks=tuple((child_id, cands[a].id) for (child_id, cands), a in zip(lists, picks)),
+                quality=QualityVector(w=w, e=best),
+                deviation=deviation,
             )
         )
     return pareto_filter(solutions, key=_median_key)
+
+
+Candidates = Sequence[tuple[str, Sequence[DesignAlternative]]]
+Consensus = Callable[[tuple[int, ...]], tuple[Estimate, int]]
+
+
+def _consensus_by_table(
+    lists: Candidates, levels: int, eta: int, enforce_gap_rule: bool, metric: str
+) -> Consensus:
+    """picks -> (consensus, deviation) from a table over the listed
+    domain: one row per distinct candidate estimate, holding its
+    deviation to each domain estimate in domain (best-first) order."""
+    domain = enumerate_estimates(levels, eta, enforce_gap_rule)
+    domain_sums = [cumulative(est) for est in domain]
+    by_max = metric == "max"
+    rows: dict[Estimate, Row] = {}
+    for _, cands in lists:
+        for cand in cands:
+            if cand.estimate not in rows:
+                sums = cumulative(cand.estimate)
+                # (promotions, demotions): the magnitude is their max,
+                # the edit count their sum.
+                pairs = (_edits(other, sums) for other in domain_sums)
+                rows[cand.estimate] = [max(p) if by_max else sum(p) for p in pairs]
+    child_rows = [[rows[cand.estimate] for cand in cands] for _, cands in lists]
+
+    def consensus(picks: tuple[int, ...]) -> tuple[Estimate, int]:
+        picked = map(list.__getitem__, child_rows, picks)
+        totals = next(picked)
+        for row in picked:
+            totals = list(map(add, totals, row))
+        least = min(totals)
+        return domain[totals.index(least)], least
+
+    return consensus
+
+
+def _consensus_by_dp(lists: Candidates, enforce_gap_rule: bool, metric: str) -> Consensus:
+    """picks -> (consensus, deviation) from ``generalized_median``."""
+
+    def consensus(picks: tuple[int, ...]) -> tuple[Estimate, int]:
+        median = generalized_median(
+            [cands[a].estimate for (_, cands), a in zip(lists, picks)],
+            enforce_gap_rule=enforce_gap_rule,
+            metric=metric,
+        )
+        return median.best, median.deviation
+
+    return consensus
 
 
 def _median_key(sol: CompositeSolution) -> QualityKey:

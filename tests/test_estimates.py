@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphplan.estimates import (
+    _median_key,
     enumerate_estimates,
     generalized_median,
     multiset_number,
@@ -21,7 +22,13 @@ from morphplan.estimates import (
     satisfies_gap_rule,
     uplus,
 )
-from morphplan.model import InvalidComparisonError, SolutionError
+from morphplan.model import (
+    CompositeSolution,
+    InvalidComparisonError,
+    QualityVector,
+    SolutionError,
+)
+from morphplan.synthesis import pareto_filter
 from tests.conftest import admissible_by_product, median_by_scan, node_model
 
 EXPECTED_SCALE_3_4 = [
@@ -379,14 +386,109 @@ def test_estimate_synthesis_reference_selections(arkticheskoe_multiset):
 def test_estimate_synthesis_matches_product_oracle(arkticheskoe_multiset):
     m = arkticheskoe_multiset.model
     node = m.component("W")
-    expected = set()
-    for picks, quality, das in admissible_by_product(node, m):
-        median = generalized_median([da.estimate for da in das])
-        expected.add((picks, quality.w, median.best, median.deviation))
-    frontier = multiset_synthesize(node, m)
-    got = [(s.picks, s.quality.w, s.quality.e, s.deviation) for s in frontier.solutions]
-    assert len(got) == len(expected)
-    assert set(got) == expected
+    for enforce, metric in itertools.product((True, False), ("max", "sum")):
+        expected = set()
+        for picks, quality, das in admissible_by_product(node, m):
+            median = generalized_median([da.estimate for da in das], enforce, metric)
+            expected.add((picks, quality.w, median.best, median.deviation))
+        frontier = multiset_synthesize(node, m, enforce, metric)
+        got = [(s.picks, s.quality.w, s.quality.e, s.deviation) for s in frontier.solutions]
+        assert len(got) == len(expected), (enforce, metric)
+        assert set(got) == expected, (enforce, metric)
+
+
+def estimate_node(randint, levels, eta, counts):
+    """One root over len(counts) leaves with counts[i] alternatives
+    each, priorities 1-3, estimates over ``levels`` levels with ``eta``
+    marks, and every cross pair at a compatibility 0-4 (0 cuts it).
+    ``randint(a, b)`` draws each value."""
+    leaves = {
+        f"C{i}": [(f"C{i}x{j}", randint(1, 3)) for j in range(count)]
+        for i, count in enumerate(counts)
+    }
+    ids = [[did for did, _ in das] for das in leaves.values()]
+    pairs = [
+        (a, b, randint(0, 4))
+        for i, left in enumerate(ids)
+        for right in ids[i + 1 :]
+        for a in left
+        for b in right
+    ]
+    estimates = {
+        did: counts_from_sums(sorted(randint(0, eta) for _ in range(levels - 1)), eta)
+        for group in ids
+        for did in group
+    }
+    return node_model(leaves, pairs, estimates=estimates)
+
+
+def synthesize_counting_dp(node, model, enforce, metric):
+    """``multiset_synthesize`` and how many ``generalized_median`` calls it made."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return generalized_median(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("morphplan.estimates.generalized_median", counted)
+        frontier = multiset_synthesize(node, model, enforce, metric)
+    return frontier, len(calls)
+
+
+def assert_matches_the_scan_per_selection(model, lists_domain):
+    """The frontier of ``N`` in every metric and gap setting equals
+    ``median_by_scan`` run on each admissible selection, layered by the
+    same key; the domain is listed (no ``generalized_median`` call) or
+    not, as ``lists_domain`` says."""
+    node = model.component("N")
+    selections = admissible_by_product(node, model)
+    for enforce, metric in itertools.product((True, False), ("max", "sum")):
+        oracle = []
+        for picks, quality, das in selections:
+            median = median_by_scan([da.estimate for da in das], enforce, metric)
+            oracle.append(
+                CompositeSolution(
+                    node="N",
+                    picks=picks,
+                    quality=QualityVector(w=quality.w, e=median.best),
+                    deviation=median.deviation,
+                )
+            )
+        expected = pareto_filter(oracle, key=_median_key)
+        frontier, dp_calls = synthesize_counting_dp(node, model, enforce, metric)
+        assert dp_calls == (0 if lists_domain else len(selections))
+        assert [
+            (s.picks, s.quality.w, s.quality.e, s.deviation) for s in frontier.solutions
+        ] == [(s.picks, s.quality.w, s.quality.e, s.deviation) for s in expected.solutions]
+        assert frontier.layers == expected.layers, (enforce, metric)
+
+
+# (levels, eta, alternatives per child, whether the domain is listed):
+# l3/eta4 lists it from two selections up, l5/eta8 with two selections
+# keeps the dynamic program.
+SIZE_RULE_SHAPES = [
+    (3, 4, [2], True),
+    (3, 4, [3, 3], True),
+    (3, 4, [2, 3, 4], True),
+    (3, 4, [3, 2, 3, 2, 3], True),
+    (5, 8, [2], False),
+    (5, 8, [1, 2], False),
+]
+
+
+@pytest.mark.parametrize("levels,eta,counts,lists_domain", SIZE_RULE_SHAPES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_estimate_synthesis_matches_the_scan_per_selection(levels, eta, counts, lists_domain, seed):
+    model = estimate_node(random.Random(seed).randint, levels, eta, counts)
+    assert_matches_the_scan_per_selection(model, lists_domain)
+
+
+def test_estimate_synthesis_keeps_the_dp_for_a_large_domain():
+    # 6,188 estimates against 27 selections; the scan takes about 25 ms each.
+    model = estimate_node(random.Random(6).randint, 6, 12, [3, 3, 3])
+    assert_matches_the_scan_per_selection(model, lists_domain=False)
 
 
 def test_identical_estimates_give_zero_deviation():
@@ -401,6 +503,64 @@ def test_identical_estimates_give_zero_deviation():
     sol = frontier.solutions[0]
     assert sol.quality.e == (2, 2, 0)
     assert sol.deviation == 0
+
+
+def two_child_node(alternatives, compat, estimates):
+    """Child A with ``alternatives`` options a1, a2, ... and child B
+    with b1, every pair at compatibility ``compat``. Under l3/eta4 two
+    selections list the domain and one keeps the dynamic program."""
+    leaves = {"A": [(f"a{i}", 1) for i in range(1, alternatives + 1)], "B": [("b1", 1)]}
+    pairs = [(a, "b1", compat) for a, _ in leaves["A"]]
+    return node_model(leaves, pairs, estimates=estimates)
+
+
+@pytest.mark.parametrize("compat", [3, 0], ids=["admissible", "none-admissible"])
+@pytest.mark.parametrize("alternatives", [2, 1], ids=["table", "dp"])
+@pytest.mark.parametrize(
+    "estimates,metric,error,message",
+    [
+        (
+            {"a1": (1, 3, 0), "a2": (2, 2, 0)},
+            "max",
+            SolutionError,
+            "alternative 'b1' of child 'B' carries no estimate",
+        ),
+        (
+            {"a1": (1, 3, 0), "a2": (1, 3, 0), "b1": (1, 3, 0, 0)},
+            "sum",
+            InvalidComparisonError,
+            "count vectors differ in length: 3 vs 4",
+        ),
+        (
+            {"a1": (1, 3, 0), "a2": (2, 2, 0), "b1": (4, 0, 0)},
+            "mean",
+            ValueError,
+            "unknown metric 'mean'",
+        ),
+        (
+            {"a1": (0, 0, 0), "a2": (0, 0, 0), "b1": (0, 0, 0)},
+            "max",
+            ValueError,
+            "eta must be >= 1: 0",
+        ),
+    ],
+    ids=["missing-estimate", "mixed-shapes", "unknown-metric", "eta-0"],
+)
+def test_estimate_synthesis_errors_match_on_both_paths(
+    alternatives, compat, estimates, metric, error, message
+):
+    model = two_child_node(alternatives, compat, estimates)
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        multiset_synthesize(model.component("N"), model, metric=metric)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("alternatives,dp_calls", [(2, 0), (1, 1)])
+def test_two_child_node_falls_on_the_intended_side(alternatives, dp_calls):
+    model = two_child_node(alternatives, 3, {"a1": (1, 3, 0), "a2": (2, 2, 0), "b1": (4, 0, 0)})
+    frontier, calls = synthesize_counting_dp(model.component("N"), model, True, "max")
+    assert calls == dp_calls
+    assert len(frontier.solutions) == alternatives
 
 
 def test_missing_estimate_names_the_alternative():
