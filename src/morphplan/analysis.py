@@ -206,7 +206,9 @@ def kernel(
     """Agreement structure of a solution set over one node.
 
     A child enters the kernel when a single pick reaches the agreement
-    threshold (fraction of solutions; 1.0 means unanimous). The
+    threshold (fraction of solutions; 1.0 means unanimous). The share is
+    compared as a quotient, which is correctly rounded, so a pick held
+    by exactly the threshold's fraction joins (7 of 25 at 0.28). The
     superstructure lists every pick used anywhere.
     """
     if not solutions:
@@ -226,6 +228,6 @@ def kernel(
         counts = Counter(pick for _, pick in column)
         union[child] = tuple(sorted(counts))
         best = max(union[child], key=counts.__getitem__)
-        if counts[best] >= threshold * len(solutions):
+        if counts[best] / len(solutions) >= threshold:
             agreed[child] = best
     return KernelReport(node=nodes.pop(), kernel=agreed, superstructure=union)

@@ -39,11 +39,9 @@ from .model import (
 )
 from .synthesis import (
     Frontier,
-    QualityKey,
     admissible_states,
     child_candidates,
     pareto_filter,
-    quality_key,
 )
 
 Estimate = tuple[int, ...]
@@ -400,7 +398,7 @@ def multiset_synthesize(
                 deviation=deviation,
             )
         )
-    return pareto_filter(solutions, key=_median_key)
+    return pareto_filter(solutions)
 
 
 Candidates = Sequence[tuple[str, Sequence[DesignAlternative]]]
@@ -451,9 +449,3 @@ def _consensus_by_dp(lists: Candidates, enforce_gap_rule: bool, metric: str) -> 
 
     return consensus
 
-
-def _median_key(sol: CompositeSolution) -> QualityKey:
-    """The ordinal key extended by -deviation: a smaller deviation is
-    better, and a larger one may not dominate."""
-    assert sol.deviation is not None
-    return (*quality_key(sol), -sol.deviation)

@@ -28,7 +28,8 @@ class MorphError(Exception):
 
 
 class InvalidComparisonError(MorphError, ValueError):
-    """Count vectors of different length or total were compared."""
+    """Count vectors of different length or total were compared, or
+    solutions with a deviation against solutions without one."""
 
 
 class SolutionError(MorphError, ValueError):

@@ -116,17 +116,19 @@ def cover_edges(keys: Sequence[QualityKey]) -> list[tuple[int, int]]:
 
 
 def frontier_dot(frontier: Frontier) -> str:
-    """The frontier's quality poset: one node per distinct (w; e),
-    labelled with the labels of all its solutions and then the
-    quality, ranked by w, edges along the dominance cover relation."""
-    groups: dict[QualityVector, list[CompositeSolution]] = {}
+    """The frontier's quality poset: one node per distinct (w; e) and
+    deviation, as ``peel_layers`` groups them, labelled with the labels
+    of all its solutions and then the quality (and deviation), ranked
+    by w, edges along the cover relation of ``quality_key``."""
+    groups: dict[tuple[QualityVector, int | None], list[CompositeSolution]] = {}
     for sol in frontier.solutions:
-        groups.setdefault(sol.quality, []).append(sol)
+        groups.setdefault((sol.quality, sol.deviation), []).append(sol)
     edges = cover_edges([quality_key(sols[0]) for sols in groups.values()])
     lines = ["digraph quality {", "  rankdir=TB;", '  node [shape=box, fontsize=10];']
     by_w: dict[int, list[int]] = {}
-    for i, (q, sols) in enumerate(groups.items()):
-        label = "\\n".join([*(_dot_escape(sol.label) for sol in sols), str(q)])
+    for i, ((q, dev), sols) in enumerate(groups.items()):
+        score = str(q) if dev is None else f"{q} dev={dev}"
+        label = "\\n".join([*(_dot_escape(sol.label) for sol in sols), score])
         lines.append(f'  n{i} [label="{label}"];')
         by_w.setdefault(q.w, []).append(i)
     for w in sorted(by_w, reverse=True):

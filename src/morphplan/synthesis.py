@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import add, attrgetter, ge
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     Component,
     CompositeSolution,
     DesignAlternative,
     InfeasibleNodeError,
+    InvalidComparisonError,
     MorphModel,
     QualityVector,
     SolutionError,
@@ -184,15 +185,14 @@ def enumerate_admissible(
     model: MorphModel,
     candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
 ) -> list[CompositeSolution]:
-    """All selections of one candidate per child with w >= 1.
+    """All selections of one candidate per child with w >= 1, in walk
+    order (the first child's candidate varies slowest).
 
     Prefixes hitting a zero-compatibility pair are cut immediately,
     so the walk touches only selections that can still be admissible.
     """
     lists = child_candidates(node, model, candidates)
-    out = _solutions(node, lists, admissible_states(node, model, lists))
-    out.sort(key=solution_sort_key)
-    return out
+    return _solutions(node, lists, admissible_states(node, model, lists))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +205,10 @@ QualityKey = tuple[int, ...]
 
 
 def quality_key(sol: CompositeSolution) -> QualityKey:
-    """(w, *prefix sums of e): (w; e) dominance is componentwise >=."""
-    return (sol.quality.w, *cumulative(sol.quality.e))
+    """(w, *prefix sums of e), then -deviation when the solution has one:
+    dominance is componentwise >=, and a smaller deviation is better."""
+    key = (sol.quality.w, *cumulative(sol.quality.e))
+    return key if sol.deviation is None else (*key, -sol.deviation)
 
 
 def dominates(a: QualityKey, b: QualityKey) -> bool:
@@ -236,44 +238,39 @@ def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
 
 def peel_layers(
     solutions: Sequence[CompositeSolution],
-    key: Callable[[CompositeSolution], QualityKey] = quality_key,
 ) -> tuple[tuple[CompositeSolution, ...], tuple[int, ...]]:
-    """Assign dominance layers: layer 1 is the maximal set, layer k+1
-    what becomes maximal once layers <= k are removed.
+    """Dominance layers by ``quality_key``, in ``solution_sort_key``
+    order whatever the input order: layer 1 is the maximal set, layer
+    k+1 what becomes maximal once layers <= k are removed.
 
-    A layer depends only on the quality, so the distinct qualities are
-    peeled and the layers mapped back to the solutions. ``key`` must
-    depend only on a solution's quality and deviation, and a key
-    dominates another when it is componentwise >=. Raises
-    InvalidComparisonError when the count vectors differ in length or
-    total.
+    The distinct (quality, deviation) pairs are peeled and the layers
+    mapped back to the solutions. Raises InvalidComparisonError when
+    the count vectors differ in length or total, or when only some
+    solutions carry a deviation.
     """
     ordered = sorted(solutions, key=solution_sort_key)
     keys: dict[tuple[QualityVector, int | None], QualityKey] = {}
     for sol in ordered:
         q = (sol.quality, sol.deviation)
         if q not in keys:
-            keys[q] = key(sol)
+            keys[q] = quality_key(sol)
     check_counts(q.e for q, _ in keys)
+    if len({dev is None for _, dev in keys}) > 1:
+        raise InvalidComparisonError("only some solutions carry a deviation")
     layer_of = _key_layers(keys.values())
-    return tuple(ordered), tuple(
-        layer_of[keys[(s.quality, s.deviation)]] for s in ordered
-    )
+    return tuple(ordered), tuple(layer_of[keys[(s.quality, s.deviation)]] for s in ordered)
 
 
-def pareto_filter(
-    solutions: Sequence[CompositeSolution],
-    key: Callable[[CompositeSolution], QualityKey] = quality_key,
-) -> Frontier:
-    """Layer a set of solutions of one node; layer 1 is the
-    non-dominated set. ``key`` is as in ``peel_layers``."""
+def pareto_filter(solutions: Sequence[CompositeSolution]) -> Frontier:
+    """Layer a set of solutions of one node as ``peel_layers`` does;
+    layer 1 is the non-dominated set."""
     nodes = {s.node for s in solutions}
     if len(nodes) > 1:
         raise SolutionError(f"solutions score different nodes: {sorted(nodes)}")
     for s in solutions:
         if s.quality.w < 1:
             raise SolutionError(f"inadmissible solution (w=0): {s.label}")
-    ordered, layers = peel_layers(solutions, key)
+    ordered, layers = peel_layers(solutions)
     return Frontier(node=nodes.pop() if nodes else "", solutions=ordered, layers=layers)
 
 
@@ -431,6 +428,7 @@ def _retained_candidates(
     for sol, layer in zip(frontier.solutions, frontier.layers):
         if max_layers is not None and layer > max_layers:
             continue
-        priority = comp.priority_overrides.get(sol.label, min(layer, levels))
-        retained.append(DesignAlternative(id=sol.label, priority=priority))
+        label = sol.label
+        priority = comp.priority_overrides.get(label, min(layer, levels))
+        retained.append(DesignAlternative(id=label, priority=priority))
     return tuple(retained)

@@ -136,7 +136,7 @@ def kernel_by_dicts(solutions: Sequence[CompositeSolution], threshold: float) ->
         picks = [m[child] for m in maps]
         union[child] = tuple(sorted(set(picks)))
         best = max(union[child], key=picks.count)
-        if picks.count(best) >= threshold * len(maps):
+        if picks.count(best) / len(maps) >= threshold:
             agreed[child] = best
     return agreed, union
 

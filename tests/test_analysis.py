@@ -284,6 +284,21 @@ def test_threshold_relaxes_agreement(arkticheskoe):
     assert dict(relaxed.kernel) == {"P": "P3", "Q": "Q5"}
 
 
+@pytest.mark.parametrize(
+    "agree, total, threshold, joins",
+    [(7, 25, 0.28, True), (7, 100, 0.07, True), (28, 50, 0.56, True), (6, 25, 0.28, False)],
+)
+def test_a_pick_held_by_exactly_the_threshold_joins(agree, total, threshold, joins):
+    # threshold * total rounds above agree for the three that join
+    # (0.28 * 25 == 7.000000000000001).
+    def pick(p):
+        return CompositeSolution(node="N", picks=(("P", p),), quality=QualityVector(1, (1,)))
+
+    solutions = [pick("p1")] * agree + [pick(f"q{i}") for i in range(total - agree)]
+    report = kernel(solutions, threshold=threshold)
+    assert dict(report.kernel) == ({"P": "p1"} if joins else {})
+
+
 def test_kernel_of_empty_set_errors():
     with pytest.raises(Exception):
         kernel([])

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphplan.estimates import _median_key, generalized_median, multiset_synthesize
+from morphplan.estimates import generalized_median, multiset_synthesize
 from morphplan.model import (
     CompositeSolution,
     InvalidComparisonError,
     QualityVector,
     n_dominates,
 )
-from morphplan.reporting import cover_edges
+from morphplan.reporting import cover_edges, frontier_dot
 from morphplan.synthesis import pareto_filter, peel_layers
 from tests.conftest import node_model
 
@@ -108,7 +108,9 @@ def median_dominates(a, b):
 @example([sol("x", 2, (1, 0))])
 @example([sol("x", 2, (1, 0)), sol("y", 2, (1, 0)), sol("z", 3, (0, 1))])
 def test_kernel_peel_matches_pairwise_peel(solutions):
-    assert peel_layers(solutions) == pairwise_peel(solutions, ordinal_dominates)
+    got = peel_layers(solutions)
+    assert got == pairwise_peel(solutions, ordinal_dominates)
+    assert peel_layers(list(reversed(solutions))) == got
 
 
 @kernel_settings
@@ -116,8 +118,30 @@ def test_kernel_peel_matches_pairwise_peel(solutions):
 @example([sol("x", 2, (1, 0), 1)])
 @example([sol("x", 2, (1, 0), 1), sol("y", 2, (1, 0), 1), sol("z", 2, (1, 0), 0)])
 def test_kernel_peel_matches_pairwise_peel_with_deviation(solutions):
-    got = peel_layers(solutions, key=_median_key)
+    got = peel_layers(solutions)
     assert got == pairwise_peel(solutions, median_dominates)
+    assert peel_layers(list(reversed(solutions))) == got
+
+
+@kernel_settings
+@given(solution_sets(deviation=True), st.integers(0, 20))
+def test_mixed_deviation_and_plain_solutions_raise(solutions, where):
+    solutions = list(solutions)
+    q = solutions[0].quality
+    solutions.insert(where % (len(solutions) + 1), sol("plain", q.w, q.e))
+    with pytest.raises(InvalidComparisonError):
+        peel_layers(solutions)
+    with pytest.raises(InvalidComparisonError):
+        pareto_filter(solutions)
+
+
+def test_frontier_dot_draws_each_deviation_of_one_quality():
+    frontier = pareto_filter([sol("x", 2, (1, 0), 0), sol("y", 2, (1, 0), 1)])
+    assert frontier.layers == (1, 2)
+    dot = frontier_dot(frontier)
+    assert '  n0 [label="x\\n(2;1,0) dev=0"];' in dot
+    assert '  n1 [label="y\\n(2;1,0) dev=1"];' in dot
+    assert [line for line in dot.splitlines() if "->" in line] == ["  n0 -> n1;"]
 
 
 @kernel_settings

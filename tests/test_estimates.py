@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphplan.estimates import (
-    _median_key,
     enumerate_estimates,
     generalized_median,
     multiset_number,
@@ -455,7 +454,7 @@ def assert_matches_the_scan_per_selection(model, lists_domain):
                     deviation=median.deviation,
                 )
             )
-        expected = pareto_filter(oracle, key=_median_key)
+        expected = pareto_filter(oracle)
         frontier, dp_calls = synthesize_counting_dp(node, model, enforce, metric)
         assert dp_calls == (0 if lists_domain else len(selections))
         assert [
