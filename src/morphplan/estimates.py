@@ -387,14 +387,18 @@ def multiset_synthesize(
     else:
         consensus = _consensus_by_dp(lists, enforce_gap_rule, metric)
 
+    qualities: dict[tuple[int, Estimate], QualityVector] = {}
     solutions = []
     for picks, w, _ in admissible_states(node, model, lists):
         best, deviation = consensus(picks)
+        quality = qualities.get((w, best))
+        if quality is None:
+            quality = qualities[w, best] = QualityVector(w=w, e=best)
         solutions.append(
             CompositeSolution(
                 node=node.id,
                 picks=tuple((child_id, cands[a].id) for (child_id, cands), a in zip(lists, picks)),
-                quality=QualityVector(w=w, e=best),
+                quality=quality,
                 deviation=deviation,
             )
         )

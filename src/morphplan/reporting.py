@@ -3,7 +3,7 @@ drawings of dominance posets (frontiers and estimate scales)."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import CompositeSolution, QualityVector, check_counts, cumulative
 from .modeldoc import canonical_json
@@ -99,20 +99,30 @@ def _fmt_q(q: dict) -> str:
 
 def cover_edges(keys: Sequence[QualityKey]) -> list[tuple[int, int]]:
     """Hasse edges of strict dominance over keys (componentwise >=):
-    i -> j when i beats j with nothing strictly between them."""
-    n = len(keys)
-    strict = [
-        [keys[i] != keys[j] and dominates(keys[i], keys[j]) for j in range(n)]
-        for i in range(n)
+    i -> j when i beats j with nothing strictly between them, sorted.
+
+    A transitive reduction on bitsets: bit i of ``beaten[j]`` is set
+    when key i beats key j, and j's covers are the keys in ``beaten[j]``
+    that beat no other key in it."""
+    beaten = [
+        sum(1 << i for i, a in enumerate(keys) if a != b and dominates(a, b)) for b in keys
     ]
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if strict[i][j] and not any(
-                strict[i][k] and strict[k][j] for k in range(n)
-            ):
-                edges.append((i, j))
+    for j, mask in enumerate(beaten):
+        implied = 0
+        for k in _bits(mask):
+            implied |= beaten[k]
+        edges.extend((i, j) for i in _bits(mask & ~implied))
+    edges.sort()
     return edges
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def frontier_dot(frontier: Frontier) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import add, attrgetter, ge
+from operator import add, attrgetter, ge, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -79,18 +79,6 @@ def child_candidates(
             raise InfeasibleNodeError(node.id, f"child {child_id!r} offers no candidates")
         lists.append((child_id, cands))
     return lists
-
-
-def solution_sort_key(sol: CompositeSolution):
-    """Report order: w desc, counts lexicographically desc, then label
-    (and deviation asc where present) for reproducible output."""
-    dev = sol.deviation if sol.deviation is not None else 0
-    return (
-        -sol.quality.w,
-        tuple(-c for c in sol.quality.e),
-        dev,
-        tuple(pick for _, pick in sol.picks),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +158,18 @@ def _solutions(
     states: Iterable[_State],
 ) -> list[CompositeSolution]:
     named = [[(child_id, cand.id) for cand in cands] for child_id, cands in lists]
-    return [
-        CompositeSolution(
-            node=node.id,
-            picks=tuple(map(list.__getitem__, named, picks)),
-            quality=QualityVector(w=w, e=counts),
+    qualities: dict[tuple[int, tuple[int, ...]], QualityVector] = {}
+    out = []
+    for picks, w, counts in states:
+        quality = qualities.get((w, counts))
+        if quality is None:
+            quality = qualities[w, counts] = QualityVector(w=w, e=counts)
+        out.append(
+            CompositeSolution(
+                node=node.id, picks=tuple(map(list.__getitem__, named, picks)), quality=quality
+            )
         )
-        for picks, w, counts in states
-    ]
+    return out
 
 
 def enumerate_admissible(
@@ -216,19 +208,36 @@ def dominates(a: QualityKey, b: QualityKey) -> bool:
     return all(map(ge, a, b))
 
 
-def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
-    """Dominance layer of each distinct key: one more than the deepest
-    layer among the keys that strictly beat it.
+def _key_layers(keys: Sequence[QualityKey]) -> list[int]:
+    """Dominance layer of each of the distinct ``keys``, given in
+    lexicographically descending order: one more than the deepest layer
+    among the keys that strictly beat it.
 
-    Lexicographically larger keys come first, so every strict
-    dominator of a key is layered before it.
+    Every strict dominator of a key is lexicographically larger, so it
+    is layered before the key. The layers are found by binary search
+    over the fronts built so far (ENS-BS: Zhang, Tian, Cheng and Jin,
+    "An efficient approach to nondominated sorting for evolutionary
+    multiobjective optimization", IEEE TEVC 19(2), 2015): if a member of
+    front i beats a key, then by transitivity a member of every earlier
+    front does too, so the key's layer is one past the last front that
+    holds a dominator of it.
     """
-    layer_of: dict[QualityKey, int] = {}
-    for key in sorted(set(keys), reverse=True):
-        layer_of[key] = 1 + max(
-            (layer for k, layer in layer_of.items() if dominates(k, key)), default=0
-        )
-    return layer_of
+    fronts: list[list[QualityKey]] = []
+    layers = []
+    for key in keys:
+        lo, hi = 0, len(fronts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if any(dominates(member, key) for member in fronts[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(fronts):
+            fronts.append([key])
+        else:
+            fronts[lo].append(key)
+        layers.append(lo + 1)
+    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +245,44 @@ def _key_layers(keys: Iterable[QualityKey]) -> dict[QualityKey, int]:
 # ---------------------------------------------------------------------------
 
 
+def _pick_ids(sol: CompositeSolution) -> tuple[str, ...]:
+    return tuple(map(itemgetter(1), sol.picks))
+
+
 def peel_layers(
     solutions: Sequence[CompositeSolution],
 ) -> tuple[tuple[CompositeSolution, ...], tuple[int, ...]]:
-    """Dominance layers by ``quality_key``, in ``solution_sort_key``
-    order whatever the input order: layer 1 is the maximal set, layer
-    k+1 what becomes maximal once layers <= k are removed.
+    """Dominance layers by ``quality_key``: layer 1 is the maximal set,
+    layer k+1 what becomes maximal once layers <= k are removed.
 
-    The distinct (quality, deviation) pairs are peeled and the layers
-    mapped back to the solutions. Raises InvalidComparisonError when
-    the count vectors differ in length or total, or when only some
-    solutions carry a deviation.
+    The order is the same whatever the input order: w descending, then
+    the counts lexicographically descending, then the deviation
+    ascending where solutions carry one; solutions of one quality and
+    deviation by their pick ids. The solutions are grouped once by
+    (w, e, deviation), and only the distinct groups are sorted and
+    peeled. Raises InvalidComparisonError when the count vectors differ
+    in length or total, or when only some solutions carry a deviation.
     """
-    ordered = sorted(solutions, key=solution_sort_key)
-    keys: dict[tuple[QualityVector, int | None], QualityKey] = {}
-    for sol in ordered:
-        q = (sol.quality, sol.deviation)
-        if q not in keys:
-            keys[q] = quality_key(sol)
-    check_counts(q.e for q, _ in keys)
-    if len({dev is None for _, dev in keys}) > 1:
+    groups: dict[tuple[int, tuple[int, ...], int | None], list[CompositeSolution]] = {}
+    for sol in solutions:
+        q = sol.quality
+        groups.setdefault((q.w, q.e, sol.deviation), []).append(sol)
+    order = sorted(groups, key=lambda g: (-g[0], tuple(-c for c in g[1]), g[2] or 0))
+    check_counts(e for _, e, _ in order)
+    if len({dev is None for _, _, dev in order}) > 1:
         raise InvalidComparisonError("only some solutions carry a deviation")
-    layer_of = _key_layers(keys.values())
-    return tuple(ordered), tuple(layer_of[keys[(s.quality, s.deviation)]] for s in ordered)
+    # The same order is quality_key's descending order: prefix sums agree
+    # up to a level exactly when the counts do, and -deviation comes last.
+    keys = [quality_key(groups[group][0]) for group in order]
+    ordered: list[CompositeSolution] = []
+    layers: list[int] = []
+    for group, layer in zip(order, _key_layers(keys)):
+        members = groups[group]
+        if len(members) > 1:
+            members.sort(key=_pick_ids)
+        ordered += members
+        layers += [layer] * len(members)
+    return tuple(ordered), tuple(layers)
 
 
 def pareto_filter(solutions: Sequence[CompositeSolution]) -> Frontier:

@@ -103,10 +103,32 @@ def median_dominates(a, b):
 # ---------------------------------------------------------------------------
 
 
+# Deeper than the strategies reach: 30 layers of one key, one layer of
+# 30 keys, and 5 layers of 6 keys (key (1 + b, 14 - b - 2a) is on layer
+# a + 1), so the peel's search over layers lands on the first layer, on
+# a middle one and past the last.
+def deep_layer_sets(dev=None):
+    chain = [sol(f"c{i}", 30 - i, (1, 0), dev) for i in range(30)]
+    antichain = [sol(f"a{i}", i + 1, (29 - i, i), dev) for i in range(30)]
+    layered = [
+        sol(f"l{a}-{b}", 1 + b, (14 - b - 2 * a, b + 2 * a), dev)
+        for a in range(5)
+        for b in range(6)
+    ]
+    return chain, antichain, layered
+
+
+CHAIN, ANTICHAIN, LAYERED = deep_layer_sets()
+DEV_CHAIN, DEV_ANTICHAIN, DEV_LAYERED = deep_layer_sets(dev=0)
+
+
 @kernel_settings
 @given(solution_sets())
 @example([sol("x", 2, (1, 0))])
 @example([sol("x", 2, (1, 0)), sol("y", 2, (1, 0)), sol("z", 3, (0, 1))])
+@example(CHAIN)
+@example(ANTICHAIN)
+@example(LAYERED)
 def test_kernel_peel_matches_pairwise_peel(solutions):
     got = peel_layers(solutions)
     assert got == pairwise_peel(solutions, ordinal_dominates)
@@ -117,10 +139,30 @@ def test_kernel_peel_matches_pairwise_peel(solutions):
 @given(solution_sets(deviation=True))
 @example([sol("x", 2, (1, 0), 1)])
 @example([sol("x", 2, (1, 0), 1), sol("y", 2, (1, 0), 1), sol("z", 2, (1, 0), 0)])
+@example([sol(f"d{i}", 2, (1, 0), i) for i in range(30)])
+@example(DEV_CHAIN)
+@example(DEV_ANTICHAIN)
+@example(DEV_LAYERED)
 def test_kernel_peel_matches_pairwise_peel_with_deviation(solutions):
     got = peel_layers(solutions)
     assert got == pairwise_peel(solutions, median_dominates)
     assert peel_layers(list(reversed(solutions))) == got
+
+
+def test_deep_layer_sets_reach_their_depths():
+    assert peel_layers(CHAIN)[1] == tuple(range(1, 31))
+    assert peel_layers(ANTICHAIN)[1] == (1,) * 30
+    assert sorted(peel_layers(LAYERED)[1]) == [a for a in range(1, 6) for _ in range(6)]
+
+
+def test_peel_orders_one_quality_by_pick_ids():
+    q = QualityVector(2, (1, 1))
+    az = CompositeSolution(node="N", picks=(("A", "a"), ("B", "z")), quality=q)
+    ab = CompositeSolution(node="N", picks=(("A", "a!"), ("B", "b")), quality=q)
+    # By label, "a!*b" would come first: "!" sorts before "*".
+    assert ab.label < az.label
+    for solutions in ([az, ab], [ab, az]):
+        assert peel_layers(solutions) == ((az, ab), (1, 1))
 
 
 @kernel_settings
@@ -153,7 +195,7 @@ def test_cover_edges_is_the_transitive_reduction_of_strict_dominance(items):
     }
     implied = {(i, j) for i, k in beats for k2, j in beats if k == k2}
     keys = [(q.w, *accumulate(q.e)) for q in qs]
-    assert set(cover_edges(keys)) == beats - implied
+    assert cover_edges(keys) == sorted(beats - implied)
 
 
 @kernel_settings
