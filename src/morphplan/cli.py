@@ -29,7 +29,7 @@ from .analysis import kernel as solution_kernel
 from .estimates import enumerate_estimates, generalized_median, multiset_synthesize
 from .generator import generate_document
 from .knapsack import extend_kernel
-from .model import CompositeSolution, MorphError, MorphModel, QualityVector, system_quality
+from .model import Component, CompositeSolution, MorphError, MorphModel, QualityVector, system_quality
 from .modeldoc import DocumentError, ExpectedSolution, KnapsackSection, ModelDocument
 from .modeldoc import canonical_json, model_digest, number_out, parse_model_file
 from .reporting import estimate_scale_dot, frontier_dot, render_json, render_text
@@ -81,74 +81,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="morph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def fmt(p, choices=("text", "json")):
-        p.add_argument("--format", choices=list(choices), default="text")
-
-    def model_arg(p):
+    def model_command(name, summary, handler, flags, dot=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="model document (JSON)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        formats = ["text", "json", "dot"] if dot else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("validate", help="check a model document")
-    model_arg(p)
-    fmt(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("synth", help="synthesize frontiers bottom-up")
-    model_arg(p)
-    p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    p.add_argument("--layers", type=_layer_count, default=None)
-    p.add_argument("--node", default=None, help="node for dot output")
-    fmt(p, ("text", "json", "dot"))
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("bottlenecks", help="improvement actions per solution")
-    model_arg(p)
-    p.add_argument("--node", default=None)
-    p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    fmt(p)
-    p.set_defaults(handler=cmd_bottlenecks)
-
-    p = sub.add_parser("median", help="estimate-based synthesis and consensus")
-    model_arg(p)
-    p.add_argument("--node", default=None)
-    p.add_argument("--enforce-condition2", choices=["true", "false"], default="true")
-    p.add_argument("--metric", choices=["max", "sum"], default="max")
-    fmt(p, ("text", "json", "dot"))
-    p.set_defaults(handler=cmd_median)
-
-    p = sub.add_parser("aggregate", help="budgeted kernel extension")
-    model_arg(p)
-    p.add_argument("--budget", type=_parse_budget, default=None)
-    p.add_argument("--method", choices=["greedy", "exact"], default="greedy")
-    fmt(p)
-    p.set_defaults(handler=cmd_aggregate)
-
-    p = sub.add_parser("kernel", help="agreement structure of the root frontier")
-    model_arg(p)
-    p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    p.add_argument("--layers", type=_layer_count, default=None)
-    fmt(p)
-    p.set_defaults(handler=cmd_kernel)
+    model_command("validate", "check a model document", cmd_validate, ())
+    model_command("synth", "synthesize frontiers bottom-up", cmd_synth,
+                  ("--algorithm", "--layers", "--node"), dot=True)
+    model_command("bottlenecks", "improvement actions per solution", cmd_bottlenecks,
+                  ("--node", "--algorithm"))
+    model_command("median", "estimate-based synthesis and consensus", cmd_median,
+                  ("--node", "--enforce-condition2", "--metric"), dot=True)
+    model_command("aggregate", "budgeted kernel extension", cmd_aggregate,
+                  ("--budget", "--method"))
+    model_command("kernel", "agreement structure of the root frontier", cmd_kernel,
+                  ("--threshold", "--algorithm", "--layers"))
 
     p = sub.add_parser("gen", help="emit a seeded random model document")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--children", type=int, default=4)
-    p.add_argument("--das", type=int, default=3)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--nu", type=int, default=4)
+    for flag, default in (("--seed", 0), ("--children", 4), ("--das", 3), ("--levels", 3), ("--nu", 4)):
+        p.add_argument(flag, type=int, default=default)
     p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("report", help="full run: everything the model supports")
-    model_arg(p)
-    p.add_argument("--algorithm", choices=["dp", "brute"], default="dp")
-    p.add_argument("--layers", type=_layer_count, default=None)
-    p.add_argument("--budget", type=_parse_budget, default=None)
-    p.add_argument("--method", choices=["greedy", "exact"], default="greedy")
-    p.add_argument("--enforce-condition2", choices=["true", "false"], default="true")
-    p.add_argument("--metric", choices=["max", "sum"], default="max")
-    p.add_argument("--threshold", type=float, default=1.0)
-    fmt(p)
-    p.set_defaults(handler=cmd_report)
+    # The union of its sections' flags. No section reads the median
+    # flags, but their echo in ``arguments`` is part of the output.
+    model_command("report", "full run: everything the model supports", cmd_report,
+                  ("--algorithm", "--layers", "--budget", "--method",
+                   "--enforce-condition2", "--metric", "--threshold"))
 
     return parser
 
@@ -173,6 +136,20 @@ def _parse_budget(text: str):
     except ZeroDivisionError:
         # argparse turns only ValueError and TypeError into a usage error.
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# Each flag that more than one command takes, declared once.
+_FLAGS = {
+    "--algorithm": {"choices": ["dp", "brute"], "default": "dp"},
+    "--layers": {"type": _layer_count, "default": None},
+    "--node": {"default": None,
+               "help": "node to draw (synth --format dot) or to report (bottlenecks, median)"},
+    "--budget": {"type": _parse_budget, "default": None},
+    "--method": {"choices": ["greedy", "exact"], "default": "greedy"},
+    "--enforce-condition2": {"choices": ["true", "false"], "default": "true"},
+    "--metric": {"choices": ["max", "sum"], "default": "max"},
+    "--threshold": {"type": float, "default": 1.0},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +284,15 @@ def _synth_sections(doc: ModelDocument, args, report: dict) -> SynthesisOutcome:
     return outcome
 
 
+def _composes_leaves(model: MorphModel, comp: Component) -> bool:
+    """Whether ``comp`` is a composite whose children are all leaves:
+    its selections pick design alternatives."""
+    return not comp.is_leaf and all(model.component(c).is_leaf for c in comp.children)
+
+
 def _leaf_parents(model: MorphModel) -> list[str]:
     """Composite nodes whose children are all leaves, bottom-up."""
-    return [
-        comp.id
-        for comp in model.postorder()
-        if not comp.is_leaf and all(model.component(c).is_leaf for c in comp.children)
-    ]
+    return [comp.id for comp in model.postorder() if _composes_leaves(model, comp)]
 
 
 def _bottlenecks_section(
@@ -440,14 +419,14 @@ def cmd_synth(args, doc, report) -> tuple[int, str | None]:
 @_model_command
 def cmd_bottlenecks(args, doc, report) -> tuple[int, str | None]:
     model = doc.model
-    nodes = _leaf_parents(model)
     if args.node:
-        model.component(args.node)  # an unknown id is a usage error
-        if args.node not in nodes:
+        if not _composes_leaves(model, model.component(args.node)):
             raise MorphError(
                 f"bottlenecks --node {args.node}: not a composite whose children are all leaves"
             )
         nodes = [args.node]
+    else:
+        nodes = _leaf_parents(model)
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm)
     report["bottlenecks"] = _bottlenecks_section(model, outcome, nodes, doc.options.expected)
     report["warnings"] = list(doc.options.notes)
@@ -462,14 +441,12 @@ def cmd_median(args, doc, report) -> tuple[int, str | None]:
     node = model.component(node_id)
     if node.is_leaf:
         raise MorphError(f"component {node_id} is a leaf; nothing to compose")
-    children = [model.component(cid) for cid in node.children]
-    estimates = [da.estimate for child in children for da in child.das if da.estimate is not None]
-    # Only leaves carry alternatives: a leaf child without estimates
-    # means the document has none; otherwise the node's shape is wrong.
-    if not estimates and any(child.is_leaf for child in children):
-        raise MorphError(f"node {node_id} has no estimate-carrying alternatives")
-    if node_id not in _leaf_parents(model):
+    if not _composes_leaves(model, node):
         raise MorphError(f"node {node_id} is not a composite whose children are all leaves")
+    leaves = [model.component(cid) for cid in node.children]
+    estimates = [da.estimate for leaf in leaves for da in leaf.das if da.estimate is not None]
+    if not estimates:
+        raise MorphError(f"node {node_id} has no estimate-carrying alternatives")
     levels = len(estimates[0])
     eta = sum(estimates[0])
 

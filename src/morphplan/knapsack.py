@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .model import MorphError
+from .model import PICK_SEPARATOR, MorphError
 
 Number = int | Fraction
 
@@ -200,8 +200,7 @@ def greedy_mckp(instance: KnapsackInstance) -> Selection:
             chosen[g] = (cost, profit, item)
             unfilled_min = reserve
             remaining -= cost
-    if len(chosen) < len(groups):
-        return Selection.infeasible()
+    # remaining never drops below unfilled_min, so every group is filled.
     picks = [chosen[g] for g in range(len(groups))]
     return Selection(
         chosen=tuple(item for _, _, item in picks),
@@ -304,7 +303,7 @@ class AggregatedPlan:
 
     @property
     def label(self) -> str:
-        return "*".join(pick for _, pick in self.picks)
+        return PICK_SEPARATOR.join(pick for _, pick in self.picks)
 
 
 def check_kernel(kernel: Mapping[str, str], instance: KnapsackInstance) -> None:

@@ -216,6 +216,31 @@ def test_out_of_range_upgrades_are_rejected(arkticheskoe):
         )
 
 
+@pytest.mark.parametrize(
+    "kind,component,target,before,after,message",
+    [
+        ("swap", "A", "a1", 2, 1, "unknown action kind 'swap'"),
+        ("da-upgrade", "A", "a1", 3, 1, "priority upgrades move one step up: 3 => 1"),
+        ("da-upgrade", "A", ("a1", "b1"), 2, 1, "da-upgrade targets a single alternative id"),
+        ("da-upgrade", "A", "a1", 3, 2, "a1 has priority 2, action expects 3"),
+        ("edge-upgrade", "N", ("a1", "b1"), 2, 4, "edge upgrades move one step up: 2 => 4"),
+        ("edge-upgrade", "N", "a1", 2, 3, "edge-upgrade targets an alternative pair"),
+        ("edge-upgrade", "A", ("a1", "b1"), 2, 3, "component A has no compatibility table"),
+        ("edge-upgrade", "N", ("a1", "b1"), 1, 2, "pair ('a1', 'b1') has value 2, action expects 1"),
+    ],
+    ids=[
+        "unknown-kind", "priority-step", "priority-pair-target", "priority-mismatch",
+        "edge-step", "edge-single-target", "edge-no-table", "edge-value-mismatch",
+    ],
+)
+def test_malformed_actions_are_rejected(kind, component, target, before, after, message):
+    model = node_model({"A": [("a1", 2)], "B": [("b1", 1)]}, [("a1", "b1", 2)])
+    action = ImprovementAction(kind, component, target, before, after, new_quality=None)
+    with pytest.raises(ImprovementError) as raised:
+        apply_improvement(model, action)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_actions_never_worsen_the_solution(seed):
     model = random_node_model(seed, max_children=4, max_das=4)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
@@ -114,6 +115,12 @@ def test_synth_dot_unknown_node_is_a_usage_error():
     assert result.output == "error: unknown component 'NOPE'\n"
 
 
+def test_synth_text_names_an_infeasible_node_and_exits_one(tmp_path):
+    result = run_command(["synth", zero_model(tmp_path)])
+    assert result.code == 1
+    assert "\nnode N: infeasible (no admissible selection)\n" in result.output
+
+
 def test_synth_dot_infeasible_node_exits_one_with_reason(tmp_path):
     result = run_command(["synth", zero_model(tmp_path), "--format", "dot", "--node", "N"])
     assert result.code == 1
@@ -195,6 +202,57 @@ def test_shared_parser_runs_like_fresh_parsers(capsys):
     assert "--layers" in shared[0][2].err
     assert json.loads(shared[1][1])["arguments"]["layers"] == 2
     assert '"layers": null' in shared[2][1]
+
+
+# Every subcommand's options as (option strings, dest, default, choices,
+# type name), in declaration order: the command line's contract.
+MODEL = ((), "model", None, None, None)
+ALGORITHM = (("--algorithm",), "algorithm", "dp", ("dp", "brute"), None)
+LAYERS = (("--layers",), "layers", None, None, "_layer_count")
+NODE = (("--node",), "node", None, None, None)
+BUDGET = (("--budget",), "budget", None, None, "_parse_budget")
+METHOD = (("--method",), "method", "greedy", ("greedy", "exact"), None)
+ENFORCE = (("--enforce-condition2",), "enforce_condition2", "true", ("true", "false"), None)
+METRIC = (("--metric",), "metric", "max", ("max", "sum"), None)
+THRESHOLD = (("--threshold",), "threshold", 1.0, None, "float")
+TEXT_JSON = (("--format",), "format", "text", ("text", "json"), None)
+TEXT_JSON_DOT = (("--format",), "format", "text", ("text", "json", "dot"), None)
+FLAG_CONTRACT = {
+    "validate": [MODEL, TEXT_JSON],
+    "synth": [MODEL, ALGORITHM, LAYERS, NODE, TEXT_JSON_DOT],
+    "bottlenecks": [MODEL, NODE, ALGORITHM, TEXT_JSON],
+    "median": [MODEL, NODE, ENFORCE, METRIC, TEXT_JSON_DOT],
+    "aggregate": [MODEL, BUDGET, METHOD, TEXT_JSON],
+    "kernel": [MODEL, THRESHOLD, ALGORITHM, LAYERS, TEXT_JSON],
+    "gen": [
+        (("--seed",), "seed", 0, None, "int"),
+        (("--children",), "children", 4, None, "int"),
+        (("--das",), "das", 3, None, "int"),
+        (("--levels",), "levels", 3, None, "int"),
+        (("--nu",), "nu", 4, None, "int"),
+    ],
+    "report": [MODEL, ALGORITHM, LAYERS, BUDGET, METHOD, ENFORCE, METRIC, THRESHOLD, TEXT_JSON],
+}
+
+
+def test_every_subcommand_keeps_its_flag_contract():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    observed = {
+        name: [
+            (
+                tuple(a.option_strings),
+                a.dest,
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                None if a.type is None else a.type.__name__,
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, parser in subparsers.choices.items()
+    }
+    assert list(observed) == list(FLAG_CONTRACT)
+    assert observed == FLAG_CONTRACT
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +430,13 @@ def test_bottlenecks_node_must_have_only_leaf_children(capsys, node):
     assert run_main(capsys, ["bottlenecks", ARK, "--node", node]) == (2, "", message)
 
 
+def test_bottlenecks_node_reports_that_node_as_the_full_run_does():
+    full = json.loads(run_command(["bottlenecks", ARK, "--format", "json"]).output)
+    result = run_command(["bottlenecks", ARK, "--node", "W", "--format", "json"])
+    assert result.code == 0
+    assert json.loads(result.output)["bottlenecks"] == {"W": full["bottlenecks"]["W"]}
+
+
 # ---------------------------------------------------------------------------
 # median
 # ---------------------------------------------------------------------------
@@ -399,7 +464,14 @@ def test_median_dot_is_the_twelve_node_scale():
 
 
 def test_median_without_estimates_is_a_usage_error(capsys):
-    message = "error: node A2 has no estimate-carrying alternatives\n"
+    message = "error: node W has no estimate-carrying alternatives\n"
+    assert run_main(capsys, ["median", ARK, "--node", "W"]) == (2, "", message)
+
+
+def test_median_checks_the_node_shape_before_its_estimates(capsys):
+    # arkticheskoe carries no estimates, but its root A2 could not be
+    # composed even with them: its children W and D are composites.
+    message = "error: node A2 is not a composite whose children are all leaves\n"
     assert run_main(capsys, ["median", ARK]) == (2, "", message)
 
 

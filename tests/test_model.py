@@ -157,6 +157,14 @@ def test_system_quality_errors():
         system_quality({"A": "a1", "B": "nope"}, node, model)
 
 
+def test_system_quality_rejects_a_leaf_and_a_non_child_pick():
+    model = node_model({"A": [("a1", 1)], "B": [("b1", 1)]}, [("a1", "b1", 2)])
+    with pytest.raises(SolutionError, match="component A is a leaf"):
+        system_quality({}, model.component("A"), model)
+    with pytest.raises(SolutionError, match=r"picks name non-children of N: \['C'\]"):
+        system_quality({"A": "a1", "B": "b1", "C": "c1"}, model.component("N"), model)
+
+
 def test_system_quality_invariant_under_child_order():
     rng = random.Random(5)
     for trial in range(20):

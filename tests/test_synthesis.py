@@ -301,6 +301,13 @@ def test_single_leaf_model_passes_alternatives_through():
     assert frontier.layers == (1, 2)
 
 
+@pytest.mark.parametrize("algorithm", ["dp", "brute"])
+def test_empty_leaf_makes_its_parent_infeasible_with_a_reason(algorithm):
+    model = node_model({"L": [], "A": [("a1", 1)]})
+    outcome = hierarchical_synthesize(model, algorithm=algorithm)
+    assert outcome.infeasible == {"N": "child 'L' offers no candidates"}
+
+
 def test_infeasible_subtree_is_reported_and_propagates():
     model = node_model(
         {"A": [("a1", 1)], "B": [("b1", 1)]},
