@@ -133,9 +133,10 @@ def _parse_budget(text: str):
         pass
     try:
         return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number value: {text!r}") from None
     except ZeroDivisionError:
-        # argparse turns only ValueError and TypeError into a usage error.
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
 # Each flag that more than one command takes, declared once.
@@ -360,8 +361,8 @@ def _aggregation_section(knapsack: KnapsackSection, budget, method: str) -> list
     entries = []
     for b in budgets:
         plan = extend_kernel(knapsack.kernel, knapsack.instance(b), method=method)
-        entry = {"budget": number_out(b), "method": method, "feasible": plan.feasible}
-        if plan.feasible:
+        entry = {"budget": number_out(b), "method": method, "feasible": plan is not None}
+        if plan is not None:
             entry.update(
                 {
                     "picks": plan.picks_map(),
@@ -481,9 +482,10 @@ def cmd_median(args, doc, report) -> tuple[int, str | None]:
         report["named"] = named
     report["warnings"] = warnings
 
+    code = EXIT_OK if frontier.solutions else EXIT_INFEASIBLE
     if args.format != "dot":
-        return EXIT_OK, None
-    return EXIT_OK, estimate_scale_dot(enumerate_estimates(levels, eta, enforce))
+        return code, None
+    return code, estimate_scale_dot(enumerate_estimates(levels, eta, enforce))
 
 
 @_model_command

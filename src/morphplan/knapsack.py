@@ -8,7 +8,9 @@ Costs, profits and budgets are ints or Fractions (a float is read at
 its exact binary value). Each solve scales them once to exact ints by
 the least common denominator of the costs and that of the profits, and
 builds no budget grid, so both solvers add and compare ints however
-fine the numbers are.
+fine the numbers are. Both solvers return a tuple of selections, and
+``()`` when no selection fits the budget; ``extend_kernel`` then
+returns None.
 """
 
 from __future__ import annotations
@@ -73,19 +75,14 @@ class KnapsackInstance:
     def group_labels(self) -> tuple[str, ...]:
         return tuple(group[0].group for group in self.groups)
 
-    def min_cost_total(self) -> Number:
-        return sum(min(item.cost for item in group) for group in self.groups)
-
 
 @dataclass(frozen=True)
 class Selection:
-    """One chosen item per group (group order), or an infeasibility
-    marker when the budget cannot fill every group."""
+    """One chosen item per group, in group order, with its totals."""
 
     chosen: tuple[ChoiceItem, ...]
     total_cost: Number
     total_profit: Number
-    feasible: bool
 
     @classmethod
     def of(cls, chosen: Sequence[ChoiceItem]) -> "Selection":
@@ -93,12 +90,7 @@ class Selection:
             chosen=tuple(chosen),
             total_cost=sum(item.cost for item in chosen),
             total_profit=sum(item.profit for item in chosen),
-            feasible=True,
         )
-
-    @classmethod
-    def infeasible(cls) -> "Selection":
-        return cls(chosen=(), total_cost=0, total_profit=0, feasible=False)
 
     def item_ids(self) -> tuple[str, ...]:
         return tuple(item.id for item in self.chosen)
@@ -123,7 +115,10 @@ def _integer_view(instance: KnapsackInstance):
     Multiplying by a positive constant keeps every sum, comparison and
     ratio order, so the solvers decide exactly as on the given numbers.
     An instance of ints is its own view and builds no Fraction.
-    Returns ``(groups, budget, cost_scale, profit_scale)``."""
+    Returns ``(groups, min_cost, budget, cost_scale, profit_scale)``,
+    ``min_cost[g]`` the cheapest cost of group g, or None when those
+    cheapest costs add up to more than the budget: then no selection
+    fits."""
     groups = [[(item.cost, item.profit, item) for item in group] for group in instance.groups]
     cost_scale = profit_scale = 1
     if not all(
@@ -147,7 +142,11 @@ def _integer_view(instance: KnapsackInstance):
             for group in exact
         ]
     budget = _exact(instance.budget)
-    return groups, budget.numerator * cost_scale // budget.denominator, cost_scale, profit_scale
+    budget = budget.numerator * cost_scale // budget.denominator
+    min_cost = [min(cost for cost, _, _ in group) for group in groups]
+    if sum(min_cost) > budget:
+        return None
+    return groups, min_cost, budget, cost_scale, profit_scale
 
 
 def _unscaled(total: int, scale: int) -> Number:
@@ -159,8 +158,9 @@ def _unscaled(total: int, scale: int) -> Number:
 # ---------------------------------------------------------------------------
 
 
-def greedy_mckp(instance: KnapsackInstance) -> Selection:
-    """Ratio-ordered greedy pass with a feasibility reserve.
+def greedy_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
+    """Ratio-ordered greedy pass with a feasibility reserve: its one
+    selection, or () when no selection fits the budget.
 
     Items are considered by descending profit/cost ratio (free profit
     first; ties broken by higher profit, then lower cost, then id
@@ -170,11 +170,11 @@ def greedy_mckp(instance: KnapsackInstance) -> Selection:
     scaled once to exact ints by their least common denominators; no
     budget grid is built.
     """
-    groups, budget, cost_scale, profit_scale = _integer_view(instance)
-    min_cost = [min(cost for cost, _, _ in group) for group in groups]
+    view = _integer_view(instance)
+    if view is None:
+        return ()
+    groups, min_cost, budget, cost_scale, profit_scale = view
     unfilled_min = sum(min_cost)
-    if unfilled_min > budget:
-        return Selection.infeasible()
     # With every cost below 2**b, two distinct ratios p/c and p'/c'
     # differ by at least 1/(c*c') > 2**-2b, so at shift 2b their floors
     # differ in the same order, and equal ratios floor alike: the int
@@ -202,11 +202,12 @@ def greedy_mckp(instance: KnapsackInstance) -> Selection:
             remaining -= cost
     # remaining never drops below unfilled_min, so every group is filled.
     picks = [chosen[g] for g in range(len(groups))]
-    return Selection(
-        chosen=tuple(item for _, _, item in picks),
-        total_cost=_unscaled(sum(cost for cost, _, _ in picks), cost_scale),
-        total_profit=_unscaled(sum(profit for _, profit, _ in picks), profit_scale),
-        feasible=True,
+    return (
+        Selection(
+            chosen=tuple(item for _, _, item in picks),
+            total_cost=_unscaled(sum(cost for cost, _, _ in picks), cost_scale),
+            total_profit=_unscaled(sum(profit for _, profit, _ in picks), profit_scale),
+        ),
     )
 
 
@@ -225,10 +226,10 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
     grid, so the work does not depend on how fine the costs are. Each
     selection takes its totals from its final state. Returns () when no
     selection fits the budget."""
-    groups, budget, cost_scale, profit_scale = _integer_view(instance)
-    min_cost = [min(cost for cost, _, _ in group) for group in groups]
-    if sum(min_cost) > budget:
+    view = _integer_view(instance)
+    if view is None:
         return ()
+    groups, min_cost, budget, cost_scale, profit_scale = view
     # reserve[g]: the least cost of filling the groups after group g
     reserve = [0] * len(groups)
     for g in range(len(groups) - 1, 0, -1):
@@ -273,7 +274,7 @@ def exact_mckp(instance: KnapsackInstance) -> tuple[Selection, ...]:
     while stack:
         g, state, suffix, total_cost = stack.pop()
         if g == 0:
-            selections.append(Selection(suffix, total_cost, total_profit, feasible=True))
+            selections.append(Selection(suffix, total_cost, total_profit))
             continue
         for previous, item in layers[g][state]:
             stack.append((g - 1, previous, (item,) + suffix, total_cost))
@@ -295,7 +296,6 @@ class AggregatedPlan:
     picks: tuple[tuple[str, str], ...]
     total_cost: Number
     total_profit: Number
-    feasible: bool
     alternatives: tuple[Selection, ...] = ()
 
     def picks_map(self) -> dict[str, str]:
@@ -317,33 +317,18 @@ def extend_kernel(
     kernel: Mapping[str, str],
     instance: KnapsackInstance,
     method: str = "greedy",
-) -> AggregatedPlan:
+) -> AggregatedPlan | None:
     """Complete a kernel by selecting one candidate per open group
-    under the instance budget. Kernel components and instance groups
-    must not overlap; an empty instance returns the kernel unchanged."""
+    under the instance budget, or None when no selection fits it.
+    Kernel components and instance groups must not overlap; an empty
+    instance returns the kernel unchanged."""
     if method not in ("greedy", "exact"):
         raise ValueError(f"unknown method {method!r}")
     check_kernel(kernel, instance)
-    kernel_picks = tuple(sorted(kernel.items()))
-    if not instance.groups:
-        return AggregatedPlan(
-            picks=kernel_picks, total_cost=0, total_profit=0, feasible=True
-        )
-
-    if method == "greedy":
-        selection = greedy_mckp(instance)
-        alternatives: tuple[Selection, ...] = ()
-    else:
-        optima = exact_mckp(instance)
-        selection = optima[0] if optima else Selection.infeasible()
-        alternatives = optima[1:]
-    if not selection.feasible:
-        return AggregatedPlan(
-            picks=kernel_picks,
-            total_cost=0,
-            total_profit=0,
-            feasible=False,
-        )
+    found = (greedy_mckp if method == "greedy" else exact_mckp)(instance)
+    if not found:
+        return None
+    selection = found[0]
     picks = dict(kernel)
     for item in selection.chosen:
         picks[item.group] = item.id
@@ -351,6 +336,5 @@ def extend_kernel(
         picks=tuple(sorted(picks.items())),
         total_cost=selection.total_cost,
         total_profit=selection.total_profit,
-        feasible=True,
-        alternatives=alternatives,
+        alternatives=found[1:],
     )

@@ -35,39 +35,28 @@ def render_text(report: dict) -> str:
         if data.get("infeasible"):
             lines.append(f"node {node}: infeasible ({data.get('reason', '')})")
             continue
-        sols = data["solutions"]
-        lines.append(f"node {node}: {len(sols)} solution(s)")
-        for sol in sols:
-            dev = f" dev={sol['deviation']}" if sol.get("deviation") is not None else ""
-            lines.append(
-                f"  [layer {sol['layer']}] {sol['label']}  "
-                f"({sol['w']};{','.join(str(c) for c in sol['e'])}){dev}"
-            )
+        lines.append(f"node {node}: {len(data['solutions'])} solution(s)")
+        lines.extend(_solution_row(sol) for sol in data["solutions"])
     for entry in report.get("named", []):
         mark = "ok" if entry["match"] else "MISMATCH"
         lines.append(
             f"named {entry['name']} @ {entry['node']}: computed "
-            f"{_fmt_q(entry['computed'])}, reference {_fmt_q(entry['reference'])} [{mark}]"
+            f"{_fmt_q(**entry['computed'])}, reference {_fmt_q(**entry['reference'])} [{mark}]"
         )
     for node, data in sorted(report.get("bottlenecks", {}).items()):
         for label, actions in sorted(data.items()):
             lines.append(f"bottlenecks {node} / {label}:")
-            for act in actions:
-                lines.append(
-                    f"  {act['kind']} {act['describe']} -> "
-                    f"({act['new_w']};{','.join(str(c) for c in act['new_e'])})"
-                )
+            lines.extend(
+                f"  {act['kind']} {act['describe']} -> {_fmt_q(act['new_w'], act['new_e'])}"
+                for act in actions
+            )
     if "medians" in report:
         med = report["medians"]
         lines.append(
             f"median scan @ {med['node']}: {len(med['solutions'])} solution(s), "
             f"scale P^{{{med['levels']},{med['eta']}}}"
         )
-        for sol in med["solutions"]:
-            lines.append(
-                f"  [layer {sol['layer']}] {sol['label']}  "
-                f"({sol['w']};{','.join(str(c) for c in sol['e'])}) dev={sol['deviation']}"
-            )
+        lines.extend(_solution_row(sol) for sol in med["solutions"])
     if "kernel" in report:
         ker = report["kernel"]
         lines.append(f"kernel over {ker['count']} solution(s) @ {ker['node']}:")
@@ -88,8 +77,15 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt_q(q: dict) -> str:
-    return f"({q['w']};{','.join(str(c) for c in q['e'])})"
+def _fmt_q(w: int, e: Sequence[int]) -> str:
+    return f"({w};{','.join(str(c) for c in e)})"
+
+
+def _solution_row(sol: dict) -> str:
+    """A frontier or median-scan solution: layer, label, quality and,
+    when it carries one, the consensus deviation."""
+    dev = f" dev={sol['deviation']}" if sol.get("deviation") is not None else ""
+    return f"  [layer {sol['layer']}] {sol['label']}  {_fmt_q(sol['w'], sol['e'])}{dev}"
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_criterion_5_choice_knapsack():
     doc = parse_model(fixture_text("yamal_region"))
     ks = doc.knapsack
     for budget, profit in ((9, 10), (10, 11), (11, 12)):
-        greedy = greedy_mckp(ks.instance(budget))
+        (greedy,) = greedy_mckp(ks.instance(budget))
         optima = exact_mckp(ks.instance(budget))
         assert greedy.total_profit == profit, budget
         assert optima[0].total_profit == profit, budget

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from morphplan.model import (
     MorphModel,
     OrdinalScale,
     QualityVector,
+    SolutionError,
     n_dominates,
     system_quality,
 )
@@ -353,3 +355,32 @@ def test_kernel_matches_a_lookup_by_child(case, threshold):
     _, solutions = case
     report = kernel(solutions, threshold=threshold)
     assert (report.kernel, report.superstructure) == kernel_by_dicts(solutions, threshold)
+
+
+def _picked(node, *picks):
+    return CompositeSolution(node=node, picks=picks, quality=QualityVector(1, (1,)))
+
+
+@pytest.mark.parametrize(
+    "solutions, threshold, error, message",
+    [
+        ([_picked("N", ("P", "p1"))], 0.0, ValueError, "threshold must be in (0, 1]: 0.0"),
+        ([_picked("N", ("P", "p1"))], 1.5, ValueError, "threshold must be in (0, 1]: 1.5"),
+        (
+            [_picked("N", ("P", "p1")), _picked("M", ("P", "p1"))],
+            1.0,
+            SolutionError,
+            "solutions score different nodes: ['M', 'N']",
+        ),
+        (
+            [_picked("N", ("P", "p1")), _picked("N", ("Q", "q1"))],
+            1.0,
+            SolutionError,
+            "solutions cover different child sets",
+        ),
+    ],
+    ids=["threshold-zero", "threshold-above-one", "mixed-nodes", "mixed-children"],
+)
+def test_kernel_refuses_a_malformed_call(solutions, threshold, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        kernel(solutions, threshold=threshold)

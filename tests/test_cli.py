@@ -518,6 +518,25 @@ def test_median_of_all_zero_estimates_is_a_usage_error(tmp_path, fmt):
     assert result.output == "error: eta must be >= 1: 0\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_median_with_no_admissible_selection_exits_one(tmp_path, fmt):
+    # Every pair of W's children is incompatible, so no selection is admissible.
+    doc = json.loads(fixture_text("arkticheskoe_multiset"))
+    for comp in doc["components"]:
+        if comp["id"] == "W":
+            comp["compat"] = {"default": 0, "pairs": []}
+    path = tmp_path / "incompatible.json"
+    path.write_text(json.dumps(doc))
+    result = run_command(["median", str(path), "--format", fmt])
+    assert result.code == 1
+    if fmt == "text":
+        assert "\nmedian scan @ W: 0 solution(s), scale P^{3,4}\n" in result.output
+    elif fmt == "json":
+        assert json.loads(result.output)["medians"]["solutions"] == []
+    else:
+        assert result.output == run_command(["median", MULTI, "--format", "dot"]).output
+
+
 # ---------------------------------------------------------------------------
 # aggregate / kernel
 # ---------------------------------------------------------------------------
@@ -564,7 +583,22 @@ def test_aggregate_infeasible_budget_exits_one():
 def test_zero_denominator_budget_is_a_usage_error(capsys, command):
     code, out, err = run_main(capsys, [command, REGION, "--budget", "1/0"])
     assert (code, out) == (2, "")
-    assert err.endswith("error: argument --budget: invalid _parse_budget value: '1/0'\n")
+    assert err.endswith("error: argument --budget: zero denominator: '1/0'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["aggregate", REGION, "--budget", "abc"], "argument --budget: invalid number value: 'abc'"),
+        (["report", REGION, "--budget", "abc"], "argument --budget: invalid number value: 'abc'"),
+        (["synth", ARK, "--layers", "abc"], "argument --layers: invalid int value: 'abc'"),
+    ],
+    ids=["aggregate-budget", "report-budget", "synth-layers"],
+)
+def test_a_flag_value_that_is_not_a_number_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_aggregate_exact_walks_back_many_groups(tmp_path):

@@ -593,3 +593,22 @@ def test_estimate_synthesis_layone_is_an_antichain(arkticheskoe_multiset):
                 and b.deviation <= a.deviation
             )
             assert not (dominates and not reverse)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: multiset_number(0, 1), ValueError, "levels must be >= 1: 0"),
+        (lambda: multiset_number(1, -1), ValueError, "eta must be >= 0: -1"),
+        (lambda: uplus([]), ValueError, "empty aggregation needs an explicit level count"),
+        (
+            lambda: uplus([(1, 2)], levels=3),
+            InvalidComparisonError,
+            "estimates have 2 levels, expected 3",
+        ),
+    ],
+    ids=["no-levels", "negative-eta", "empty-uplus", "uplus-width"],
+)
+def test_counting_and_sums_refuse_bad_shapes(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -119,14 +120,14 @@ def yamal_region_doc():
 
 
 def test_greedy_budget_nine(catalogue):
-    sel = greedy_mckp(catalogue.instance(9))
+    (sel,) = greedy_mckp(catalogue.instance(9))
     assert sel.item_ids() == ("A2_4", "A4_1", "A5_1")
     assert (sel.total_cost, sel.total_profit) == (9, 10)
 
 
 def test_budget_ten_has_two_optima(catalogue):
     inst = catalogue.instance(10)
-    greedy = greedy_mckp(inst)
+    (greedy,) = greedy_mckp(inst)
     assert greedy.total_profit == 11
     optima = exact_mckp(inst)
     assert {sel.item_ids() for sel in optima} == {
@@ -139,7 +140,8 @@ def test_budget_ten_has_two_optima(catalogue):
 
 def test_budget_eleven(catalogue):
     inst = catalogue.instance(11)
-    assert greedy_mckp(inst).total_profit == 12
+    (greedy,) = greedy_mckp(inst)
+    assert greedy.total_profit == 12
     optima = exact_mckp(inst)
     assert [sel.item_ids() for sel in optima] == [("A2_1", "A4_1", "A5_2")]
 
@@ -163,7 +165,7 @@ def test_exact_budget_twelve_brute_force(catalogue):
 
 def test_budget_below_group_minima_is_infeasible(catalogue):
     inst = catalogue.instance(8)
-    assert not greedy_mckp(inst).feasible
+    assert greedy_mckp(inst) == ()
     assert exact_mckp(inst) == ()
 
 
@@ -187,12 +189,12 @@ def test_exact_matches_brute_force(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_greedy_is_feasible_and_never_beats_exact(seed):
     inst = random_instance(seed)
-    greedy = greedy_mckp(inst)
+    found = greedy_mckp(inst)
     optima = exact_mckp(inst)
     if not optima:
-        assert not greedy.feasible
+        assert found == ()
         return
-    assert greedy.feasible
+    (greedy,) = found
     assert greedy.total_cost <= inst.budget
     assert len(greedy.chosen) == len(inst.groups)
     assert {item.group for item in greedy.chosen} == set(inst.group_labels)
@@ -207,17 +209,17 @@ def reference_ratio_key(item: ChoiceItem):
     return (1, -Fraction(item.profit) / Fraction(item.cost))
 
 
-def greedy_summing_reserve(instance: KnapsackInstance) -> Selection:
+def greedy_summing_reserve(instance: KnapsackInstance) -> tuple[Selection, ...]:
     """The greedy pass with the reserve summed over the other unfilled
     groups for every item: the quadratic rule that the running total
     of ``greedy_mckp`` replaces."""
-    if instance.min_cost_total() > instance.budget:
-        return Selection.infeasible()
+    min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
+    if sum(min_cost.values()) > instance.budget:
+        return ()
     order = sorted(
         (item for group in instance.groups for item in group),
         key=lambda it: (reference_ratio_key(it), -it.profit, it.cost, it.id),
     )
-    min_cost = {g[0].group: min(item.cost for item in g) for g in instance.groups}
     unfilled = set(min_cost)
     chosen = {}
     remaining = instance.budget
@@ -230,8 +232,8 @@ def greedy_summing_reserve(instance: KnapsackInstance) -> Selection:
             unfilled.remove(item.group)
             remaining -= item.cost
     if unfilled:
-        return Selection.infeasible()
-    return Selection.of([chosen[g[0].group] for g in instance.groups])
+        return ()
+    return (Selection.of([chosen[g[0].group] for g in instance.groups]),)
 
 
 def tight_instance(seed: int, rational: bool) -> KnapsackInstance:
@@ -260,13 +262,13 @@ def test_greedy_running_reserve_matches_summed_reserve(rational):
         inst = tight_instance(seed, rational)
         ours, reference = greedy_mckp(inst), greedy_summing_reserve(inst)
         assert ours == reference, seed
-        feasible += ours.feasible
+        feasible += len(ours)
     assert 0 < feasible < 300
 
 
 def test_greedy_equals_exact_on_catalogue_budgets(catalogue):
     for budget in (9, 10, 11):
-        greedy = greedy_mckp(catalogue.instance(budget))
+        (greedy,) = greedy_mckp(catalogue.instance(budget))
         optima = exact_mckp(catalogue.instance(budget))
         assert greedy.total_profit == optima[0].total_profit
 
@@ -444,9 +446,10 @@ def test_exact_and_greedy_on_mixed_numbers(instance):
     for sel in optima:
         assert sel.total_cost == sum(item.cost for item in sel.chosen)
         assert sel.total_profit == sum(item.profit for item in sel.chosen) == profit
-    greedy = greedy_mckp(instance)
-    assert greedy == greedy_summing_reserve(instance)
-    if greedy.feasible:
+    found = greedy_mckp(instance)
+    assert found == greedy_summing_reserve(instance)
+    assert len(found) == bool(optima)
+    for greedy in found:
         assert greedy.total_cost == sum(item.cost for item in greedy.chosen)
         assert greedy.total_profit == sum(item.profit for item in greedy.chosen)
 
@@ -460,22 +463,22 @@ def test_float_costs_are_read_at_their_exact_binary_value():
     (optimum,) = exact_mckp(inst)
     assert optimum.item_ids() == ("a", "b")
     assert optimum.total_cost == exact_sum != 0.1 + 0.2
-    assert greedy_mckp(inst) == optimum
+    assert greedy_mckp(inst) == (optimum,)
     below = KnapsackInstance(groups=groups, budget=exact_sum - Fraction(1, 2**80))
     assert exact_mckp(below) == ()
-    assert not greedy_mckp(below).feasible
+    assert greedy_mckp(below) == ()
 
 
 def test_int_instances_keep_int_totals(catalogue):
     for budget in (*catalogue.budgets, Fraction(21, 2), 1000):
         inst = catalogue.instance(budget)
-        selections = (greedy_mckp(inst), *exact_mckp(inst))
+        (greedy,) = greedy_mckp(inst)
         plans = (
             extend_kernel(catalogue.kernel, inst, method="greedy"),
             extend_kernel(catalogue.kernel, inst, method="exact"),
         )
-        for found in (*selections, *plans):
-            assert found.feasible
+        assert None not in plans
+        for found in (greedy, *exact_mckp(inst), *plans):
             assert type(found.total_cost) is int and type(found.total_profit) is int
 
 
@@ -499,7 +502,7 @@ def test_empty_instance_returns_kernel_unchanged():
     empty = KnapsackInstance(groups=(), budget=0)
     plan = extend_kernel({"K": "K_1", "L": "L_2"}, empty)
     assert plan.picks_map() == {"K": "K_1", "L": "L_2"}
-    assert plan.feasible and plan.total_cost == 0
+    assert (plan.total_cost, plan.total_profit) == (0, 0)
 
 
 def test_overlapping_kernel_and_groups_error(catalogue):
@@ -508,5 +511,28 @@ def test_overlapping_kernel_and_groups_error(catalogue):
 
 
 def test_infeasible_extension_is_flagged(catalogue):
-    plan = extend_kernel(catalogue.kernel, catalogue.instance(2))
-    assert not plan.feasible
+    for method in ("greedy", "exact"):
+        assert extend_kernel(catalogue.kernel, catalogue.instance(2), method=method) is None
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: KnapsackInstance(
+                groups=((ChoiceItem("a", "A", 1, 1), ChoiceItem("b", "B", 1, 1)),), budget=1
+            ),
+            KnapsackError,
+            "item 'b' labeled 'B' inside group 'A'",
+        ),
+        (
+            lambda: extend_kernel({}, KnapsackInstance(groups=(), budget=0), method="dp"),
+            ValueError,
+            "unknown method 'dp'",
+        ),
+    ],
+    ids=["item-in-another-group", "unknown-method"],
+)
+def test_knapsack_refuses_a_malformed_call(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

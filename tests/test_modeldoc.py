@@ -692,6 +692,12 @@ def test_generator_is_deterministic():
     assert a != generate_document(seed=8, children=4, das=3)
 
 
+@pytest.mark.parametrize("children, das", [(0, 3), (4, 0)], ids=["no-children", "no-das"])
+def test_generator_refuses_an_empty_node(children, das):
+    with pytest.raises(ValueError, match="children and das must be >= 1"):
+        generate_document(seed=0, children=children, das=das)
+
+
 # The digests at the commit that replaced json.dumps in canonical_json:
 # a change in the writer's bytes changes them.
 PINNED_DIGESTS = {

@@ -4,6 +4,7 @@ equivalence, and whole-tree runs."""
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import pytest
@@ -20,10 +21,12 @@ from morphplan.model import (
     MorphModel,
     OrdinalScale,
     QualityVector,
+    SolutionError,
     n_dominates,
 )
 from morphplan.modeldoc import parse_model
 from morphplan.synthesis import (
+    child_candidates,
     enumerate_admissible,
     hierarchical_synthesize,
     pareto_filter,
@@ -461,3 +464,45 @@ def test_fold_links_every_child_that_offers_a_listed_id(nested, max_layers):
     layer_one = {s.label for s in dp.frontiers["S"].layer(1)}
     assert layer_one == {"a2*b2*c1", "x*b2*c1", "x*x*c1"}
     assert picks_set(dp.frontiers["S"].layer(1)) == picks_set(brute.frontiers["S"].layer(1))
+
+
+def test_find_misses_a_selection_the_frontier_lacks(arkticheskoe):
+    frontier = hierarchical_synthesize(arkticheskoe.model).frontiers["D"]
+    assert frontier.find({"P": "P3", "Q": "Q5"}) is not None
+    assert frontier.find({"P": "P3", "Q": "nope"}) is None
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda m: child_candidates(m.component("P"), m, None),
+            SolutionError,
+            "component P is a leaf; nothing to compose",
+        ),
+        (
+            lambda m: child_candidates(m.component("A2"), m, {"D": ()}),
+            SolutionError,
+            "child 'W' of A2 is composite; synthesize it first or pass candidates",
+        ),
+        (
+            lambda m: pareto_filter(
+                [
+                    CompositeSolution("W", (), QualityVector(1, (1, 0, 0))),
+                    CompositeSolution("D", (), QualityVector(1, (1, 0, 0))),
+                ]
+            ),
+            SolutionError,
+            "solutions score different nodes: ['D', 'W']",
+        ),
+        (
+            lambda m: hierarchical_synthesize(m, algorithm="greedy"),
+            ValueError,
+            "unknown algorithm 'greedy'",
+        ),
+    ],
+    ids=["leaf-node", "composite-child", "mixed-nodes", "unknown-algorithm"],
+)
+def test_synthesis_refuses_a_malformed_call(arkticheskoe, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(arkticheskoe.model)
