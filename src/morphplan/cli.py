@@ -33,7 +33,7 @@ from .model import Component, CompositeSolution, MorphError, MorphModel, Quality
 from .modeldoc import DocumentError, ExpectedSolution, KnapsackSection, ModelDocument
 from .modeldoc import canonical_json, model_digest, number_out, parse_model_file
 from .reporting import estimate_scale_dot, frontier_dot, render_json, render_text
-from .synthesis import Frontier, SynthesisOutcome, hierarchical_synthesize
+from .synthesis import Frontier, SynthesisOutcome, hierarchical_synthesize, leaf_frontier
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -260,19 +260,13 @@ def _synth_sections(doc: ModelDocument, args, report: dict) -> SynthesisOutcome:
     outcome they come from."""
     model = doc.model
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
-    frontiers = report["frontiers"] = {}
-    for comp in model.postorder():
-        if comp.is_leaf:
-            continue
-        if comp.id in outcome.frontiers:
-            frontiers[comp.id] = _frontier_dict(outcome.frontiers[comp.id])
-        else:
-            frontiers[comp.id] = {
-                "infeasible": True,
-                "reason": outcome.infeasible.get(comp.id, ""),
-                "count": 0,
-                "solutions": [],
-            }
+    frontiers = report["frontiers"] = {
+        node: _frontier_dict(frontier)
+        for node, frontier in outcome.frontiers.items()
+        if not model.component(node).is_leaf  # a leaf root
+    }
+    for node, reason in outcome.infeasible.items():
+        frontiers[node] = {"infeasible": True, "reason": reason, "count": 0, "solutions": []}
     warnings = list(doc.options.notes)
     named = [
         _named_entry(exp, _expected_solution(exp, model).quality, warnings)
@@ -405,12 +399,14 @@ def _validated(args, doc, report) -> tuple[int, str | None]:
 @_model_command
 def cmd_synth(args, doc, report) -> tuple[int, str | None]:
     target = args.node or doc.model.root
-    doc.model.component(target)  # an unknown id is a usage error
+    node = doc.model.component(target)  # an unknown id is a usage error
     outcome = _synth_sections(doc, args, report)
     code = EXIT_OK if doc.model.root in outcome.frontiers else EXIT_INFEASIBLE
     if args.format != "dot":
         return code, None
     frontier = outcome.frontiers.get(target)
+    if frontier is None and node.is_leaf:  # synthesis skips a leaf below the root
+        frontier = leaf_frontier(node, doc.model)
     if frontier is None:
         reason = outcome.infeasible.get(target, "")
         return EXIT_INFEASIBLE, f"node {target}: infeasible ({reason})\n"

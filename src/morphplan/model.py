@@ -13,6 +13,7 @@ and neither can be traded for the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Sanity caps on scale sizes; everything here is meant for small ordinal scales.
@@ -52,12 +53,7 @@ class InfeasibleNodeError(MorphError):
 
 def cumulative(counts: Sequence[int]) -> tuple[int, ...]:
     """Running totals of a per-level count vector, best level first."""
-    total = 0
-    out = []
-    for c in counts:
-        total += c
-        out.append(total)
-    return tuple(out)
+    return tuple(accumulate(counts))
 
 
 def check_counts(counts: Iterable[Sequence[int]]) -> None:

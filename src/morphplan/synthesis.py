@@ -378,14 +378,16 @@ def _beats(b: QualityKey, a: QualityKey) -> bool:
 
 @dataclass
 class SynthesisOutcome:
-    """Per-node frontiers plus the subtrees that turned out infeasible."""
+    """The frontier of each feasible composite node (and of a leaf
+    root), and the reason of each infeasible one."""
 
     frontiers: dict[str, Frontier] = field(default_factory=dict)
     infeasible: dict[str, str] = field(default_factory=dict)
 
 
 def leaf_frontier(component: Component, model: MorphModel) -> Frontier:
-    """A leaf passes its alternatives through as single-pick solutions."""
+    """A leaf's alternatives as single-pick solutions, layered by
+    priority: read for a leaf root and for a drawn leaf."""
     lists = [(component.id, component.das)]
     states = admissible_states(component, model, lists)
     return pareto_filter(_solutions(component, lists, states))
@@ -403,8 +405,9 @@ def hierarchical_synthesize(
     solution is offered to the parent at priority = its layer, capped
     at the scale's worst level, unless the component pins a priority
     for that solution label. Leaf alternatives keep their own
-    priorities. An infeasible node poisons its ancestors but leaves
-    sibling subtrees reported.
+    priorities, and a leaf gets no frontier of its own unless it is the
+    root. An infeasible node poisons its ancestors but leaves sibling
+    subtrees reported.
 
     "brute" retains every admissible solution; "dp" retains only the
     selections that no other admissible selection strictly beats, so
@@ -419,7 +422,8 @@ def hierarchical_synthesize(
 
     for comp in model.postorder():
         if comp.is_leaf:
-            outcome.frontiers[comp.id] = leaf_frontier(comp, model)
+            if comp.id == model.root:
+                outcome.frontiers[comp.id] = leaf_frontier(comp, model)
             continue
         dead = [c for c in comp.children if c in outcome.infeasible]
         if dead:

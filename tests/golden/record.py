@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -39,6 +40,7 @@ DOCUMENTS = [
 ALGORITHMS = ("dp", "brute")
 FORMATS = ("text", "json")
 LAYERS = ((), ("--layers", "1"))
+BUDGETS = (("--budget", "1"), ("--budget", "9"), ("--budget", "21/2"))
 
 
 def model_argv(path: str, document: dict) -> list[list[str]]:
@@ -46,7 +48,14 @@ def model_argv(path: str, document: dict) -> list[list[str]]:
     get their full grids only on a document with a knapsack section or
     with estimates; elsewhere one row keeps their error."""
     leaves = [c for c in document["components"] if c["kind"] == "leaf"]
-    estimates = any("estimate" in da for leaf in leaves for da in leaf["das"])
+    if "knapsack" in document:
+        aggregate = list(product(("greedy", "exact"), ((), *BUDGETS)))
+    else:
+        aggregate = [("greedy", ())]
+    if any("estimate" in da for leaf in leaves for da in leaf["das"]):
+        median = list(product((*FORMATS, "dot"), ("max", "sum"), ("true", "false")))
+    else:
+        median = [("text", "max", "true")]
     rows: list[list[str]] = []
     for fmt in FORMATS:
         rows.append(["validate", path, "--format", fmt])
@@ -59,16 +68,10 @@ def model_argv(path: str, document: dict) -> list[list[str]]:
                 rows.append(["report", path, *algo, *layers, "--method", "exact", "--format", fmt])
                 for threshold in ((), ("--threshold", "0.5")):
                     rows.append(["kernel", path, *algo, *layers, *threshold, "--format", fmt])
-        budgets = ((), ("--budget", "1"), ("--budget", "9"), ("--budget", "21/2"))
-        for method in ("greedy", "exact") if "knapsack" in document else ("greedy",):
-            for budget in budgets if "knapsack" in document else ((),):
-                rows.append(["aggregate", path, "--method", method, *budget, "--format", fmt])
-    for fmt in (*FORMATS, "dot") if estimates else ("text",):
-        for metric in ("max", "sum") if estimates else ("max",):
-            for gap in ("true", "false") if estimates else ("true",):
-                rows.append(
-                    ["median", path, "--metric", metric, "--enforce-condition2", gap, "--format", fmt]
-                )
+        for method, budget in aggregate:
+            rows.append(["aggregate", path, "--method", method, *budget, "--format", fmt])
+    for fmt, metric, gap in median:
+        rows.append(["median", path, "--metric", metric, "--enforce-condition2", gap, "--format", fmt])
     for algorithm in ALGORITHMS:
         rows.append(["synth", path, "--algorithm", algorithm, "--format", "dot"])
         for component in document["components"]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ ARK = str(fixture_path("arkticheskoe"))
 KRU = str(fixture_path("kruzensternskoe"))
 REGION = str(fixture_path("yamal_region"))
 MULTI = str(fixture_path("arkticheskoe_multiset"))
+LEAF_ROOT = str(Path(__file__).parent / "golden" / "leaf_root.json")
 
 
 def solution_index(report, node):
@@ -168,6 +170,39 @@ def test_synth_dot_escapes_quotes_and_backslashes_in_labels(tmp_path):
     result = run_command(["synth", str(path), "--algorithm", "brute", "--format", "dot"])
     assert result.code == 0
     assert '  n0 [label="a\\"1*b1\\na\\\\2*b1\\n(3;2,0,0)"];\n' in result.output
+
+
+@pytest.mark.parametrize("algorithm", ["dp", "brute"])
+def test_synth_dot_draws_a_leaf_from_its_alternatives(algorithm):
+    result = run_command(["synth", ARK, "--algorithm", algorithm, "--node", "E", "--format", "dot"])
+    assert result.code == 0
+    assert result.output == (
+        "digraph quality {\n"
+        "  rankdir=TB;\n"
+        "  node [shape=box, fontsize=10];\n"
+        '  n0 [label="E3\\n(4;1,0,0)"];\n'
+        '  n1 [label="E2\\nE6\\n(4;0,1,0)"];\n'
+        "  { rank=same; n0; n1; }\n"
+        "  n0 -> n1;\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["synth", "kernel", "report"])
+def test_a_leaf_root_synthesizes_to_its_best_alternative(command):
+    # C offers c2 at priority 1, c1 and c3 at 2, c4 at 3.
+    result = run_command([command, LEAF_ROOT, "--format", "json"])
+    assert result.code == 0
+    report = json.loads(result.output)
+    assert report.get("frontiers", {}) == {}
+    if command != "synth":
+        assert report["kernel"] == {
+            "count": 1,
+            "kernel": {"C": "c2"},
+            "node": "C",
+            "superstructure": {"C": ["c2"]},
+            "threshold": 1.0,
+        }
 
 
 @pytest.mark.parametrize("command", ["synth", "kernel", "report"])

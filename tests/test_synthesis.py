@@ -6,11 +6,13 @@ from __future__ import annotations
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from morphplan import synthesis
 from morphplan.fixtures import fixture_text
 from morphplan.model import (
     CompatibilityTable,
@@ -302,6 +304,37 @@ def test_single_leaf_model_passes_alternatives_through():
     frontier = outcome.frontiers["C"]
     assert [s.label for s in frontier.solutions] == ["c1", "c2"]
     assert frontier.layers == (1, 2)
+
+
+def infeasible_branch():
+    """R over N (its only pair scores 0) and the feasible M."""
+    path = Path(__file__).parent / "golden" / "infeasible_branch.json"
+    return parse_model(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("algorithm", ["dp", "brute"])
+@pytest.mark.parametrize(
+    "name",
+    ["arkticheskoe", "arkticheskoe_multiset", "kruzensternskoe", "yamal_region", "infeasible"],
+)
+def test_outcome_holds_each_composite_once_and_no_leaf(name, algorithm, monkeypatch):
+    doc = infeasible_branch() if name == "infeasible" else parse_model(fixture_text(name))
+    model = doc.model
+    drawn = []
+    monkeypatch.setattr(synthesis, "leaf_frontier", lambda comp, m: drawn.append(comp.id))
+    outcome = hierarchical_synthesize(model, algorithm=algorithm)
+    composites = {c.id for c in model.postorder() if not c.is_leaf}
+    assert set(outcome.frontiers) | set(outcome.infeasible) == composites
+    assert not set(outcome.frontiers) & set(outcome.infeasible)
+    assert drawn == []
+    assert bool(outcome.infeasible) == (name == "infeasible")
+
+
+def test_only_a_leaf_root_gets_a_leaf_frontier():
+    model = node_model({"C": [("c1", 2), ("c2", 1)]}, None)
+    single = model.__class__(scale=model.scale, root="C", components={"C": model.components["C"]})
+    outcome = hierarchical_synthesize(single)
+    assert (list(outcome.frontiers), outcome.infeasible) == (["C"], {})
 
 
 @pytest.mark.parametrize("algorithm", ["dp", "brute"])
