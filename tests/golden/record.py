@@ -32,10 +32,12 @@ FIXTURES = [
     "src/morphplan/fixtures/kruzensternskoe.json",
     "src/morphplan/fixtures/yamal_region.json",
 ]
-# A model whose root is a leaf, and a tree with one infeasible branch.
+# A model whose root is a leaf, a tree with one infeasible branch, and a
+# tree whose sibling leaves share alternative ids.
 DOCUMENTS = [
     "tests/golden/leaf_root.json",
     "tests/golden/infeasible_branch.json",
+    "tests/golden/shared_ids.json",
 ]
 ALGORITHMS = ("dp", "brute")
 FORMATS = ("text", "json")
@@ -46,8 +48,15 @@ BUDGETS = (("--budget", "1"), ("--budget", "9"), ("--budget", "21/2"))
 def model_argv(path: str, document: dict) -> list[list[str]]:
     """Every model command on one document. ``aggregate`` and ``median``
     get their full grids only on a document with a knapsack section or
-    with estimates; elsewhere one row keeps their error."""
+    with estimates; elsewhere one row keeps their error. ``bottlenecks
+    --node`` runs on each composite whose children are all leaves."""
     leaves = [c for c in document["components"] if c["kind"] == "leaf"]
+    leaf_ids = {leaf["id"] for leaf in leaves}
+    leaf_parents = [
+        c["id"]
+        for c in document["components"]
+        if c["kind"] == "composite" and leaf_ids.issuperset(c["children"])
+    ]
     if "knapsack" in document:
         aggregate = list(product(("greedy", "exact"), ((), *BUDGETS)))
     else:
@@ -68,6 +77,8 @@ def model_argv(path: str, document: dict) -> list[list[str]]:
                 rows.append(["report", path, *algo, *layers, "--method", "exact", "--format", fmt])
                 for threshold in ((), ("--threshold", "0.5")):
                     rows.append(["kernel", path, *algo, *layers, *threshold, "--format", fmt])
+        for node in leaf_parents:
+            rows.append(["bottlenecks", path, "--node", node, "--format", fmt])
         for method, budget in aggregate:
             rows.append(["aggregate", path, "--method", method, *budget, "--format", fmt])
     for fmt, metric, gap in median:
