@@ -77,12 +77,13 @@ def bottlenecks(
     """Improvement actions for one solution.
 
     One da-upgrade per pick ranked 2 or worse, and one edge-upgrade per
-    pick pair whose compatibility attains w while w is below the scale
-    top. Each action's quality follows from the solution's (w; e): a
-    da-upgrade moves one count from level p to p-1, an edge-upgrade
-    raises the pairs under its key to w+1 (as ``apply_improvement``
-    does to a model). Actions that strictly improve the quality come
-    first, then larger w gains, then larger count gains.
+    table pair (a sorted pair of pick ids, which sibling leaves offering
+    one id share) whose compatibility attains w while w is below the
+    scale top. Each action's quality follows from the solution's (w; e):
+    a da-upgrade moves one count from level p to p-1, an edge-upgrade
+    raises its table pair to w+1 (as ``apply_improvement`` does to a
+    model). Actions that strictly improve the quality come first, then
+    larger w gains, then larger count gains.
     """
     node = model.component(solution.node)
     base = system_quality(solution.picks_map(), node, model)
@@ -99,17 +100,15 @@ def bottlenecks(
             actions.append(ImprovementAction("da-upgrade", child_id, da_id, p, p - 1, new))
 
     if w < model.scale.max_compat:
-        # A list, not a dict: sibling leaves may share an id, so one key
-        # can name several pairs, and each of them yields an action.
         pick_ids = [pick for _, pick in solution.picks]
-        pairs = [
-            (CompatibilityTable.key(a, b), model.compat_value(node, a, b))
+        pairs = {
+            CompatibilityTable.key(a, b): model.compat_value(node, a, b)
             for i, a in enumerate(pick_ids)
             for b in pick_ids[i + 1 :]
-        ]
-        for target, value in pairs:
+        }
+        for target, value in pairs.items():
             if value == w:
-                new = QualityVector(min(w + 1 if k == target else v for k, v in pairs), e)
+                new = QualityVector(min(w + 1 if k == target else v for k, v in pairs.items()), e)
                 actions.append(ImprovementAction("edge-upgrade", node.id, target, w, w + 1, new))
 
     def rank(action: ImprovementAction):

@@ -466,11 +466,7 @@ def cmd_median(args, doc, report) -> tuple[int, str | None]:
             continue
         sol = _expected_solution(exp, model)
         observed = [model.component(cid).da(pick).estimate for cid, pick in sol.picks]
-        median = generalized_median(
-            [est for est in observed if est is not None],
-            enforce_gap_rule=enforce,
-            metric=args.metric,
-        )
+        median = generalized_median(observed, enforce_gap_rule=enforce, metric=args.metric)
         entry = _named_entry(exp, QualityVector(w=sol.quality.w, e=median.best), warnings)
         entry["deviation"] = median.deviation
         named.append(entry)

@@ -28,11 +28,9 @@ from typing import Callable, Iterator, Sequence
 
 from .model import (
     Component,
-    CompositeSolution,
     DesignAlternative,
     InvalidComparisonError,
     MorphModel,
-    QualityVector,
     SolutionError,
     check_counts,
     cumulative,
@@ -40,6 +38,7 @@ from .model import (
 from .synthesis import (
     Frontier,
     admissible_states,
+    build_solutions,
     child_candidates,
     pareto_filter,
 )
@@ -387,22 +386,13 @@ def multiset_synthesize(
     else:
         consensus = _consensus_by_dp(lists, enforce_gap_rule, metric)
 
-    qualities: dict[tuple[int, Estimate], QualityVector] = {}
-    solutions = []
+    states = []
+    deviations = []
     for picks, w, _ in admissible_states(node, model, lists):
         best, deviation = consensus(picks)
-        quality = qualities.get((w, best))
-        if quality is None:
-            quality = qualities[w, best] = QualityVector(w=w, e=best)
-        solutions.append(
-            CompositeSolution(
-                node=node.id,
-                picks=tuple((child_id, cands[a].id) for (child_id, cands), a in zip(lists, picks)),
-                quality=quality,
-                deviation=deviation,
-            )
-        )
-    return pareto_filter(solutions)
+        states.append((picks, w, best))
+        deviations.append(deviation)
+    return pareto_filter(build_solutions(node, lists, states, deviations))
 
 
 Candidates = Sequence[tuple[str, Sequence[DesignAlternative]]]

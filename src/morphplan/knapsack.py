@@ -114,33 +114,29 @@ def _integer_view(instance: KnapsackInstance):
     largest int cost it admits, ``floor(budget * cost_scale)``.
     Multiplying by a positive constant keeps every sum, comparison and
     ratio order, so the solvers decide exactly as on the given numbers.
-    An instance of ints is its own view and builds no Fraction.
+    An int is its own numerator over 1, so an instance of ints keeps
+    scale 1 and builds no Fraction.
     Returns ``(groups, min_cost, budget, cost_scale, profit_scale)``,
     ``min_cost[g]`` the cheapest cost of group g, or None when those
     cheapest costs add up to more than the budget: then no selection
     fits."""
-    groups = [[(item.cost, item.profit, item) for item in group] for group in instance.groups]
-    cost_scale = profit_scale = 1
-    if not all(
-        type(cost) is int and type(profit) is int for group in groups for cost, profit, _ in group
-    ):
-        exact = [
-            [(_exact(cost), _exact(profit), item) for cost, profit, item in group]
-            for group in groups
+    exact = [
+        [(_exact(item.cost), _exact(item.profit), item) for item in group]
+        for group in instance.groups
+    ]
+    cost_scale = lcm(*{cost.denominator for group in exact for cost, _, _ in group})
+    profit_scale = lcm(*{profit.denominator for group in exact for _, profit, _ in group})
+    groups = [
+        [
+            (
+                cost.numerator * (cost_scale // cost.denominator),
+                profit.numerator * (profit_scale // profit.denominator),
+                item,
+            )
+            for cost, profit, item in group
         ]
-        cost_scale = lcm(*{cost.denominator for group in exact for cost, _, _ in group})
-        profit_scale = lcm(*{profit.denominator for group in exact for _, profit, _ in group})
-        groups = [
-            [
-                (
-                    cost.numerator * (cost_scale // cost.denominator),
-                    profit.numerator * (profit_scale // profit.denominator),
-                    item,
-                )
-                for cost, profit, item in group
-            ]
-            for group in exact
-        ]
+        for group in exact
+    ]
     budget = _exact(instance.budget)
     budget = budget.numerator * cost_scale // budget.denominator
     min_cost = [min(cost for cost, _, _ in group) for group in groups]

@@ -7,13 +7,16 @@ the pick set is scored by the pair (w; e) where w is the minimum
 pairwise compatibility among the picks (0 forbids co-selection) and
 e counts the picks per priority level. Quality vectors are partially
 ordered: better w and more mass on better priority levels both help,
-and neither can be traded for the other.
+and neither can be traded for the other. The order lives here alone:
+``quality_key`` maps a quality to w and the prefix sums of e, and
+``dominates`` compares two keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import ge
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Sanity caps on scale sizes; everything here is meant for small ordinal scales.
@@ -73,6 +76,26 @@ def check_counts(counts: Iterable[Sequence[int]]) -> None:
             )
 
 
+# A quality mapped to a tuple where higher is better in every coordinate,
+# so dominance is componentwise >= and strict dominance adds "not equal".
+QualityKey = tuple[int, ...]
+
+
+def quality_key(w: int, e: Sequence[int], deviation: int | None = None) -> QualityKey:
+    """(w, *prefix sums of e), then -deviation when there is one:
+    dominance is componentwise >=, and a smaller deviation is better.
+    For counts of one length, descending key order is w descending,
+    then the counts lexicographically descending, then the deviation
+    ascending."""
+    key = (w, *accumulate(e))
+    return key if deviation is None else (*key, -deviation)
+
+
+def dominates(a: QualityKey, b: QualityKey) -> bool:
+    """Key a is at least key b in every coordinate."""
+    return all(map(ge, a, b))
+
+
 def e_dominates(e1: Sequence[int], e2: Sequence[int]) -> bool:
     """Whether count vector ``e1`` is at least as good as ``e2``.
 
@@ -84,8 +107,7 @@ def e_dominates(e1: Sequence[int], e2: Sequence[int]) -> bool:
     Reflexive by construction.
     """
     check_counts((e1, e2))
-    c1, c2 = cumulative(e1), cumulative(e2)
-    return all(a >= b for a, b in zip(c1, c2))
+    return dominates(cumulative(e1), cumulative(e2))
 
 
 @dataclass(frozen=True)

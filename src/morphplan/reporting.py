@@ -1,13 +1,15 @@
 """Report rendering: canonical JSON, a plain-text projection, and DOT
-drawings of dominance posets (frontiers and estimate scales)."""
+drawings of dominance posets (frontiers and estimate scales). The
+quality order and the (w;e) text form both come from ``model``."""
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .model import CompositeSolution, QualityVector, check_counts, cumulative
+from .model import CompositeSolution, QualityKey, QualityVector, check_counts, cumulative
+from .model import dominates, quality_key
 from .modeldoc import canonical_json
-from .synthesis import Frontier, QualityKey, dominates, quality_key
+from .synthesis import Frontier
 
 
 def render_json(report: dict) -> str:
@@ -41,13 +43,14 @@ def render_text(report: dict) -> str:
         mark = "ok" if entry["match"] else "MISMATCH"
         lines.append(
             f"named {entry['name']} @ {entry['node']}: computed "
-            f"{_fmt_q(**entry['computed'])}, reference {_fmt_q(**entry['reference'])} [{mark}]"
+            f"{QualityVector(**entry['computed'])}, "
+            f"reference {QualityVector(**entry['reference'])} [{mark}]"
         )
     for node, data in sorted(report.get("bottlenecks", {}).items()):
         for label, actions in sorted(data.items()):
             lines.append(f"bottlenecks {node} / {label}:")
             lines.extend(
-                f"  {act['kind']} {act['describe']} -> {_fmt_q(act['new_w'], act['new_e'])}"
+                f"  {act['kind']} {act['describe']} -> {QualityVector(act['new_w'], act['new_e'])}"
                 for act in actions
             )
     if "medians" in report:
@@ -77,15 +80,11 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt_q(w: int, e: Sequence[int]) -> str:
-    return f"({w};{','.join(str(c) for c in e)})"
-
-
 def _solution_row(sol: dict) -> str:
     """A frontier or median-scan solution: layer, label, quality and,
     when it carries one, the consensus deviation."""
     dev = f" dev={sol['deviation']}" if sol.get("deviation") is not None else ""
-    return f"  [layer {sol['layer']}] {sol['label']}  {_fmt_q(sol['w'], sol['e'])}{dev}"
+    return f"  [layer {sol['layer']}] {sol['label']}  {QualityVector(sol['w'], sol['e'])}{dev}"
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def frontier_dot(frontier: Frontier) -> str:
     groups: dict[tuple[QualityVector, int | None], list[CompositeSolution]] = {}
     for sol in frontier.solutions:
         groups.setdefault((sol.quality, sol.deviation), []).append(sol)
-    edges = cover_edges([quality_key(sols[0]) for sols in groups.values()])
+    edges = cover_edges([quality_key(q.w, q.e, dev) for q, dev in groups])
     lines = ["digraph quality {", "  rankdir=TB;", '  node [shape=box, fontsize=10];']
     by_w: dict[int, list[int]] = {}
     for i, ((q, dev), sols) in enumerate(groups.items()):

@@ -6,14 +6,16 @@ synthesis. A depth-first branch and bound (the fold) reaches only the
 selections that no other admissible selection strictly beats. Whole
 trees are solved bottom-up: each retained solution of a composite node
 becomes a design alternative of its parent, with the solution label
-as id and its layer (or a pinned override) as priority.
+as id and its layer (or a pinned override) as priority. Qualities are
+compared by ``model``'s order, and ``build_solutions`` makes the
+solutions of every composition, estimate synthesis included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import add, attrgetter, ge, itemgetter
+from itertools import accumulate, chain, repeat
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -23,10 +25,12 @@ from .model import (
     InfeasibleNodeError,
     InvalidComparisonError,
     MorphModel,
+    QualityKey,
     QualityVector,
     SolutionError,
     check_counts,
-    cumulative,
+    dominates,
+    quality_key,
 )
 
 
@@ -152,23 +156,26 @@ def admissible_states(
     return states
 
 
-def _solutions(
+def build_solutions(
     node: Component,
-    lists: Sequence[tuple[str, tuple[DesignAlternative, ...]]],
+    lists: Sequence[tuple[str, Sequence[DesignAlternative]]],
     states: Iterable[_State],
+    deviations: Iterable[int | None] | None = None,
 ) -> list[CompositeSolution]:
+    """One solution of ``node`` per walked state, its picks named by
+    child and candidate id, each with its entry of ``deviations`` when
+    given. The solutions of one (w, e) share one QualityVector."""
     named = [[(child_id, cand.id) for cand in cands] for child_id, cands in lists]
     qualities: dict[tuple[int, tuple[int, ...]], QualityVector] = {}
     out = []
-    for picks, w, counts in states:
+    if deviations is None:
+        deviations = repeat(None)
+    for (picks, w, counts), deviation in zip(states, deviations):
         quality = qualities.get((w, counts))
         if quality is None:
             quality = qualities[w, counts] = QualityVector(w=w, e=counts)
-        out.append(
-            CompositeSolution(
-                node=node.id, picks=tuple(map(list.__getitem__, named, picks)), quality=quality
-            )
-        )
+        picked = tuple(map(list.__getitem__, named, picks))
+        out.append(CompositeSolution(node.id, picked, quality, deviation))
     return out
 
 
@@ -184,28 +191,12 @@ def enumerate_admissible(
     so the walk touches only selections that can still be admissible.
     """
     lists = child_candidates(node, model, candidates)
-    return _solutions(node, lists, admissible_states(node, model, lists))
+    return build_solutions(node, lists, admissible_states(node, model, lists))
 
 
 # ---------------------------------------------------------------------------
-# Dominance kernel
+# Pareto layering
 # ---------------------------------------------------------------------------
-
-# A quality mapped to a tuple where higher is better in every coordinate,
-# so dominance is componentwise >= and strict dominance adds "not equal".
-QualityKey = tuple[int, ...]
-
-
-def quality_key(sol: CompositeSolution) -> QualityKey:
-    """(w, *prefix sums of e), then -deviation when the solution has one:
-    dominance is componentwise >=, and a smaller deviation is better."""
-    key = (sol.quality.w, *cumulative(sol.quality.e))
-    return key if sol.deviation is None else (*key, -sol.deviation)
-
-
-def dominates(a: QualityKey, b: QualityKey) -> bool:
-    """Key a is at least key b in every coordinate."""
-    return all(map(ge, a, b))
 
 
 def _key_layers(keys: Sequence[QualityKey]) -> list[int]:
@@ -240,11 +231,6 @@ def _key_layers(keys: Sequence[QualityKey]) -> list[int]:
     return layers
 
 
-# ---------------------------------------------------------------------------
-# Pareto layering
-# ---------------------------------------------------------------------------
-
-
 def _pick_ids(sol: CompositeSolution) -> tuple[str, ...]:
     return tuple(map(itemgetter(1), sol.picks))
 
@@ -255,29 +241,29 @@ def peel_layers(
     """Dominance layers by ``quality_key``: layer 1 is the maximal set,
     layer k+1 what becomes maximal once layers <= k are removed.
 
-    The order is the same whatever the input order: w descending, then
-    the counts lexicographically descending, then the deviation
-    ascending where solutions carry one; solutions of one quality and
-    deviation by their pick ids. The solutions are grouped once by
-    (w, e, deviation), and only the distinct groups are sorted and
-    peeled. Raises InvalidComparisonError when the count vectors differ
-    in length or total, or when only some solutions carry a deviation.
+    The order is the same whatever the input order: ``quality_key``
+    descending (w descending, then the counts lexicographically
+    descending, then the deviation ascending where solutions carry
+    one); solutions of one quality and deviation by their pick ids.
+    The solutions are grouped once by (w, e, deviation), and only the
+    distinct groups are keyed, sorted and peeled. Raises
+    InvalidComparisonError when the count vectors differ in length or
+    total, or when only some solutions carry a deviation.
     """
     groups: dict[tuple[int, tuple[int, ...], int | None], list[CompositeSolution]] = {}
     for sol in solutions:
         q = sol.quality
         groups.setdefault((q.w, q.e, sol.deviation), []).append(sol)
-    order = sorted(groups, key=lambda g: (-g[0], tuple(-c for c in g[1]), g[2] or 0))
-    check_counts(e for _, e, _ in order)
-    if len({dev is None for _, _, dev in order}) > 1:
+    check_counts(e for _, e, _ in groups)
+    if len({dev is None for _, _, dev in groups}) > 1:
         raise InvalidComparisonError("only some solutions carry a deviation")
-    # The same order is quality_key's descending order: prefix sums agree
-    # up to a level exactly when the counts do, and -deviation comes last.
-    keys = [quality_key(groups[group][0]) for group in order]
+    # Distinct groups of one shape have distinct keys.
+    by_key = {quality_key(*group): members for group, members in groups.items()}
+    keys = sorted(by_key, reverse=True)
     ordered: list[CompositeSolution] = []
     layers: list[int] = []
-    for group, layer in zip(order, _key_layers(keys)):
-        members = groups[group]
+    for key, layer in zip(keys, _key_layers(keys)):
+        members = by_key[key]
         if len(members) > 1:
             members.sort(key=_pick_ids)
         ordered += members
@@ -358,7 +344,7 @@ def synthesize_dp(
         else:
             kept = {key: group for key, group in kept.items() if not _beats(bound, key)}
             kept[bound] = [state]
-    return pareto_filter(_solutions(node, lists, chain.from_iterable(kept.values())))
+    return pareto_filter(build_solutions(node, lists, chain.from_iterable(kept.values())))
 
 
 def _beats(b: QualityKey, a: QualityKey) -> bool:
@@ -390,7 +376,7 @@ def leaf_frontier(component: Component, model: MorphModel) -> Frontier:
     priority: read for a leaf root and for a drawn leaf."""
     lists = [(component.id, component.das)]
     states = admissible_states(component, model, lists)
-    return pareto_filter(_solutions(component, lists, states))
+    return pareto_filter(build_solutions(component, lists, states))
 
 
 def hierarchical_synthesize(

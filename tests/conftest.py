@@ -101,11 +101,13 @@ def bottlenecks_by_rebuild(solution: CompositeSolution, model: MorphModel) -> li
     ]
     if base.w < model.scale.max_compat:
         ids = [pick for _, pick in solution.picks]
+        keys = dict.fromkeys(
+            CompatibilityTable.key(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]
+        )
         drafts += [
-            ("edge-upgrade", node.id, CompatibilityTable.key(a, b), base.w, base.w + 1)
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-            if model.compat_value(node, a, b) == base.w
+            ("edge-upgrade", node.id, key, base.w, base.w + 1)
+            for key in keys
+            if model.compat_value(node, *key) == base.w
         ]
     actions = []
     for draft in drafts:

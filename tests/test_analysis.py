@@ -143,6 +143,18 @@ def test_nothing_to_improve_yields_no_actions():
     assert bottlenecks(best, model) == []
 
 
+def test_sibling_leaves_sharing_an_id_give_one_action_per_table_pair():
+    model = node_model(
+        {"A": [("a", 1)], "A2": [("a", 1)], "B": [("b", 1)]},
+        [("a", "b", 1)],
+        default=3,
+    )
+    solution = make_solution(model, "N", {"A": "a", "A2": "a", "B": "b"})
+    actions = bottlenecks(solution, model)
+    assert [a.describe() for a in actions] == ["(a,b): 1 => 2"]
+    assert actions[0].new_quality == QualityVector(2, (3, 0, 0))
+
+
 def test_strictly_improving_actions_sort_first(arkticheskoe):
     m = arkticheskoe.model
     w1 = make_solution(m, "W", {"E": "E6", "F": "F6", "G": "G6", "J": "J6", "I": "I6"})
