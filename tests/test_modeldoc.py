@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -305,6 +307,18 @@ BROKEN_KNAPSACKS = {
         _set("groups", 0, "label", "x"),
         "$.knapsack.groups[0]: unknown keys ['label']",
     ),
+    "group-id-not-a-string": (
+        _set("groups", 1, "id", 1),
+        "$.knapsack.groups[1].id: expected non-empty string, got 1",
+    ),
+    "item-not-an-object": (
+        _set("groups", 0, "items", 1, "g2"),
+        "$.knapsack.groups[0].items[1]: expected object, got str",
+    ),
+    "surrogate-kernel-key": (
+        _set("kernel", {"\ud800": "a1"}),
+        "$.knapsack.kernel: lone surrogate in '\\ud800'",
+    ),
 }
 
 
@@ -502,9 +516,21 @@ DIAGNOSTICS = {
         edit(MINIMAL, "components", 2, "compat", "pairs", 0, value=["a1", "b1"]),
         ["$.components[2].compat.pairs[0]: expected [id, id, value]"],
     ),
+    "pair-first-not-a-string": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, 0, value=1),
+        ["$.components[2].compat.pairs[0][0]: expected non-empty string, got 1"],
+    ),
+    "pair-second-not-a-string": (
+        edit(MINIMAL, "components", 2, "compat", "pairs", 0, 1, value=None),
+        ["$.components[2].compat.pairs[0][1]: expected non-empty string, got None"],
+    ),
     "pair-value-not-an-integer": (
         edit(MINIMAL, "components", 2, "compat", "pairs", 0, value=["a1", "b1", "3"]),
         ["$.components[2].compat.pairs[0][2]: expected integer, got '3'"],
+    ),
+    "compat-default-not-an-integer": (
+        edit(MINIMAL, "components", 2, "compat", "default", value="0"),
+        ["$.components[2].compat.default: expected integer, got '0'"],
     ),
     "conflicting-duplicate-pair": (
         edit(MINIMAL, "components", 2, "compat", "pairs", 1, value=["b1", "a1", 1]),
@@ -523,6 +549,18 @@ DIAGNOSTICS = {
     "surrogate-override-label": (
         edit(ARKTICHESKOE, "components", 8, "priority_overrides", value={"\ud800": "x"}),
         ["$.components[8].priority_overrides: lone surrogate in '\\ud800'"],
+    ),
+    "surrogate-annotation-key": (
+        edit(MINIMAL, "components", 0, "das", 0, "annotations", value={"\ud800": "x"}),
+        ["$.components[0].das[0].annotations: lone surrogate in '\\ud800'"],
+    ),
+    "surrogate-child": (
+        edit(MINIMAL, "components", 2, "children", 0, value="A\ud800"),
+        ["$.components[2].children[0]: lone surrogate in 'A\\ud800'"],
+    ),
+    "surrogate-pick-key": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "picks", value={"\ud800": "P3"}),
+        ["$.options.expected[0].picks: lone surrogate in '\\ud800'"],
     ),
     "surrogate-ids-that-repeat": (
         edit(
@@ -618,6 +656,10 @@ DIAGNOSTICS = {
         ),
         _validation("[compat-intra-child] N.compat[a1,a2]: both picks belong to child 'A'"),
     ),
+    "knapsack-not-an-object": (
+        edit(MINIMAL, "knapsack", value=[]),
+        ["$.knapsack: expected object, got list"],
+    ),
     # Options, on a fixture that carries them.
     "options-not-an-object": (
         edit(ARKTICHESKOE, "options", value=[]),
@@ -630,6 +672,26 @@ DIAGNOSTICS = {
     "notes-not-an-array": (
         edit(ARKTICHESKOE, "options", "notes", value="x"),
         ["$.options.notes: expected array, got str"],
+    ),
+    "note-not-a-string": (
+        edit(ARKTICHESKOE, "options", "notes", 0, value=1),
+        ["$.options.notes[0]: expected non-empty string, got 1"],
+    ),
+    "expected-name-not-a-string": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "name", value=1),
+        ["$.options.expected[0].name: expected non-empty string, got 1"],
+    ),
+    "expected-node-not-a-string": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "node", value=["D"]),
+        ["$.options.expected[0].node: expected non-empty string, got ['D']"],
+    ),
+    "expected-note-not-a-string": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "note", value=""),
+        ["$.options.expected[0].note: expected non-empty string, got ''"],
+    ),
+    "quality-missing-w": (
+        edit(ARKTICHESKOE, "options", "expected", 0, "quality", "w"),
+        ["$.options.expected[0].quality: missing keys ['w']"],
     ),
     "expected-missing-quality": (
         edit(ARKTICHESKOE, "options", "expected", 0, "quality"),
@@ -722,6 +784,28 @@ def json_dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+# Subclasses of the JSON types, which json writes as their base type.
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Tuple(tuple):
+    pass
+
+
+class Str(str):
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 def outcome(write, value):
     """The text ``write`` returns, or the type and message it raises."""
     try:
@@ -762,6 +846,11 @@ json_values = st.recursive(
 @example({"a": [], "b": {}, "c": [[], [{}]], "d": {"e": {}}})
 @example(("tuple", (1, (2,)), ()))
 @example({"mixed": [None, True, False, 0, 0.5, "s"]})
+@example(OrderedDict([("b", [1]), ("a", OrderedDict(z=2, y={}))]))
+@example([Dict(b=1, a=Dict()), List([1, List()]), Tuple((2, Tuple())), Dict()])
+@example({"k": Str("value"), Str("key"): [Str("member")], Str("z"): Str("")})
+@example([{"k": Level.HIGH}, {Level.LOW: [Level.HIGH], Level.HIGH: Level.LOW}])
+@example((True, (False, True), [True]))
 def test_canonical_json_matches_json_dumps(value):
     assert outcome(canonical_json, value) == outcome(json_dumps, value)
 
