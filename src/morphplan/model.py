@@ -394,19 +394,18 @@ def validate_model(model: MorphModel) -> ValidationReport:
 
         ids_seen: set[str] = set()
         for da in comp.das:
-            dwhere = f"{where}.{da.id}"
             if not da.id or PICK_SEPARATOR in da.id:
-                bad("bad-id", dwhere, f"alternative id must be non-empty and free of {PICK_SEPARATOR!r}")
+                bad("bad-id", f"{where}.{da.id}", f"alternative id must be non-empty and free of {PICK_SEPARATOR!r}")
             if da.id in ids_seen:
-                bad("duplicate-id", dwhere, "alternative id repeats within the component")
+                bad("duplicate-id", f"{where}.{da.id}", "alternative id repeats within the component")
             ids_seen.add(da.id)
             if not 1 <= da.priority <= levels:
-                bad("priority-range", dwhere, f"priority {da.priority} out of [1, {levels}]")
+                bad("priority-range", f"{where}.{da.id}", f"priority {da.priority} out of [1, {levels}]")
             if da.estimate is not None:
                 if len(da.estimate) != levels:
-                    bad("estimate-shape", dwhere, f"estimate has {len(da.estimate)} levels, scale has {levels}")
+                    bad("estimate-shape", f"{where}.{da.id}", f"estimate has {len(da.estimate)} levels, scale has {levels}")
                 elif any(c < 0 for c in da.estimate):
-                    bad("estimate-negative", dwhere, "estimate counts must be nonnegative")
+                    bad("estimate-negative", f"{where}.{da.id}", "estimate counts must be nonnegative")
 
         for label, prio in comp.priority_overrides.items():
             if not 1 <= prio <= levels:
@@ -438,12 +437,11 @@ def _validate_table(model: MorphModel, comp: Component, bad, nu: int) -> None:
         for da in child.das:
             owners.setdefault(da.id, set()).add(child_id)
     for (a, b), value in table.entries.items():
-        pwhere = f"{where}[{a},{b}]"
         if not 0 <= value <= nu:
-            bad("compat-range", pwhere, f"value {value} out of [0, {nu}]")
+            bad("compat-range", f"{where}[{a},{b}]", f"value {value} out of [0, {nu}]")
         oa, ob = owners.get(a), owners.get(b)
         if oa is None or ob is None:
             missing = a if oa is None else b
-            bad("compat-reference", pwhere, f"{missing!r} is not an alternative of any leaf child")
-        elif len(oa | ob) == 1:
-            bad("compat-intra-child", pwhere, f"both picks belong to child {min(oa)!r}")
+            bad("compat-reference", f"{where}[{a},{b}]", f"{missing!r} is not an alternative of any leaf child")
+        elif oa == ob and len(oa) == 1:
+            bad("compat-intra-child", f"{where}[{a},{b}]", f"both picks belong to child {min(oa)!r}")

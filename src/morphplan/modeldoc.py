@@ -32,10 +32,14 @@ model; commands recompute them and flag mismatches as warnings instead
 of correcting the inputs.
 
 The parser raises only ``DocumentError``, whose diagnostics name the
-``$`` path of the first fault it reads. Arrays are read through
-``_items`` and objects keyed by document names through ``_map``, which
-write those paths; a string or key holding a lone surrogate is
-rejected where it is read, so no diagnostic or output carries one.
+``$`` path of the first fault it reads. A path is written on the way
+out, and only for a fault: a reader raises a private ``_Fault`` whose
+path is relative to the value it was given, and each reader the fault
+passes out of prepends its own step. ``_items`` adds the index
+``[j]``, ``_map`` the key ``[key]`` and a field read its ``.name``, so
+a document without faults formats no path at all. A string or key
+holding a lone surrogate is rejected where it is read, so no
+diagnostic or output carries one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -116,77 +119,114 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 
 
-def _obj(value, path: str, required: set[str], optional: set[str]) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError([f"{path}: expected object, got {type(value).__name__}"])
-    missing = required - set(value)
-    unknown = set(value) - required - optional
+class _Fault(Exception):
+    """A fault a reader found. ``where`` is its path relative to the
+    value that reader was given; each reader the fault passes out of
+    prepends its own step, and ``document_from_dict`` adds the ``$``."""
+
+    def __init__(self, where: str, *problems: str):
+        self.where = where
+        self.problems = problems
+
+
+def _at(step: str, read, *args, **kwargs):
+    """``read(*args, **kwargs)``, with ``step`` prepended to the path of
+    a fault; a broken knapsack rule is a fault at ``step``."""
+    try:
+        return read(*args, **kwargs)
+    except _Fault as fault:
+        fault.where = step + fault.where
+        raise
+    except KnapsackError as exc:
+        raise _Fault(step, str(exc)) from None
+
+
+def _obj(value, step: str, required: set[str], optional: set[str]) -> dict:
+    if type(value) is not dict:
+        raise _Fault(step, f"expected object, got {type(value).__name__}")
+    keys = value.keys()
+    if required <= keys and keys - required <= optional:
+        return value
+    missing = required - keys
+    unknown = keys - required - optional
     problems = []
     if missing:
-        problems.append(f"{path}: missing keys {sorted(missing)}")
+        problems.append(f"missing keys {sorted(missing)}")
     if unknown:
-        problems.append(f"{path}: unknown keys {sorted(unknown)}")
-    if problems:
-        raise DocumentError(problems)
+        problems.append(f"unknown keys {sorted(unknown)}")
+    raise _Fault(step, *problems)
+
+
+def _int(value, step: str = "") -> int:
+    if type(value) is not int:
+        raise _Fault(step, f"expected integer, got {value!r}")
     return value
 
 
-def _int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError([f"{path}: expected integer, got {value!r}"])
-    return value
-
-
-def _str(value, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise DocumentError([f"{path}: expected non-empty string, got {value!r}"])
+def _str(value, step: str = "") -> str:
+    if type(value) is not str or not value:
+        raise _Fault(step, f"expected non-empty string, got {value!r}")
     if not value.isascii():
-        _check_utf8(value, path)
+        _check_utf8(value, step)
     return value
 
 
-def _check_utf8(text: str, path: str) -> None:
+def _check_utf8(text: str, step: str) -> None:
     """Reject a lone surrogate: JSON lets a ``\\ud800`` escape through,
     but no UTF-8 output, a diagnostic included, can carry it."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
-        raise DocumentError([f"{path}: lone surrogate in {text!r}"]) from None
+        raise _Fault(step, f"lone surrogate in {text!r}") from None
 
 
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise DocumentError([f"{path}: expected array, got {type(value).__name__}"])
+def _list(value, step: str = "") -> list:
+    if type(value) is not list:
+        raise _Fault(step, f"expected array, got {type(value).__name__}")
     return value
 
 
-def _items(value, path: str, item) -> tuple:
-    """An array read member by member: ``item(member, f"{path}[{j}]")``."""
-    return tuple([item(member, f"{path}[{j}]") for j, member in enumerate(_list(value, path))])
+def _items(value, step: str, item) -> tuple:
+    """An array read member by member with ``item(member)``; a fault in
+    member j gets the step ``[j]``."""
+    members = _list(value, step)
+    out = []
+    try:
+        for member in members:
+            out.append(item(member))
+    except _Fault as fault:
+        fault.where = f"{step}[{len(out)}]{fault.where}"
+        raise
+    return tuple(out)
 
 
-def _map(value, path: str, item) -> dict:
+def _map(value, step: str, item) -> dict:
     """An object keyed by names from the document, each member read by
-    ``item(member, f"{path}[{key}]")``; a key is checked before it is
-    written into a path."""
-    if not isinstance(value, dict):
-        raise DocumentError([f"{path}: expected object"])
+    ``item(member)``; a key is checked before a fault of its member
+    writes it into a path as the step ``[key]``."""
+    if type(value) is not dict:
+        raise _Fault(step, "expected object")
     out = {}
     for key, member in value.items():
         if not key.isascii():
-            _check_utf8(key, path)
-        out[key] = item(member, f"{path}[{key}]")
+            _check_utf8(key, step)
+        try:
+            out[key] = item(member)
+        except _Fault as fault:
+            fault.where = f"{step}[{key}]{fault.where}"
+            raise
     return out
 
 
-def _number(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError([f"{path}: expected number, got {value!r}"])
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DocumentError([f"{path}: expected finite number, got {value!r}"])
-        return Fraction(str(value))
-    return value
+def _number(value, step: str = ""):
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is not float:
+        raise _Fault(step, f"expected number, got {value!r}")
+    if not math.isfinite(value):
+        raise _Fault(step, f"expected finite number, got {value!r}")
+    return Fraction(str(value))
 
 
 # ---------------------------------------------------------------------------
@@ -225,34 +265,45 @@ def parse_model_file(path) -> ModelDocument:
 
 
 def document_from_dict(raw) -> ModelDocument:
+    """The document that ``json.loads`` output describes. Its readers
+    test exact types (``type(v) is int``), so ``raw`` must hold only
+    what ``json.loads`` builds: dict, list, str, int, float, bool and
+    None, no subclasses."""
+    try:
+        return _parse_document(raw)
+    except _Fault as fault:
+        raise DocumentError([f"${fault.where}: {problem}" for problem in fault.problems]) from None
+
+
+def _parse_document(raw) -> ModelDocument:
     top = _obj(
         raw,
-        "$",
+        "",
         required={"morph_schema", "scale", "root", "components"},
         optional={"knapsack", "options"},
     )
-    version = _int(top["morph_schema"], "$.morph_schema")
+    version = _int(top["morph_schema"], ".morph_schema")
     if version != SCHEMA_VERSION:
-        raise DocumentError([f"$.morph_schema: unsupported version {version}"])
+        raise _Fault(".morph_schema", f"unsupported version {version}")
 
-    scale_obj = _obj(top["scale"], "$.scale", required={"l", "nu"}, optional=set())
-    levels = _int(scale_obj["l"], "$.scale.l")
-    max_compat = _int(scale_obj["nu"], "$.scale.nu")
+    scale_obj = _obj(top["scale"], ".scale", required={"l", "nu"}, optional=set())
+    levels = _int(scale_obj["l"], ".scale.l")
+    max_compat = _int(scale_obj["nu"], ".scale.nu")
     try:
         scale = OrdinalScale(levels=levels, max_compat=max_compat)
     except ValueError as exc:
-        raise DocumentError([f"$.scale: {exc}"]) from None
-    root = _str(top["root"], "$.root")
+        raise _Fault(".scale", str(exc)) from None
+    root = _str(top["root"], ".root")
 
     components: dict[str, Component] = {}
 
-    def component(raw, path: str) -> None:
-        comp = _parse_component(raw, path)
+    def component(raw) -> None:
+        comp = _parse_component(raw)
         if comp.id in components:
-            raise DocumentError([f"{path}: duplicate component id {comp.id!r}"])
+            raise _Fault("", f"duplicate component id {comp.id!r}")
         components[comp.id] = comp
 
-    _items(top["components"], "$.components", component)
+    _items(top["components"], ".components", component)
     model = MorphModel(scale=scale, root=root, components=components)
     report = validate_model(model)
     if not report.ok:
@@ -260,38 +311,38 @@ def document_from_dict(raw) -> ModelDocument:
 
     knapsack = None
     if "knapsack" in top:
-        knapsack = _parse_knapsack(top["knapsack"], "$.knapsack")
+        knapsack = _at(".knapsack", _parse_knapsack, top["knapsack"])
     options = DocumentOptions()
     if "options" in top:
-        options = _parse_options(top["options"], "$.options", model)
+        options = _at(".options", _parse_options, top["options"], model)
     return ModelDocument(model=model, knapsack=knapsack, options=options)
 
 
-def _parse_component(raw, path: str) -> Component:
+def _parse_component(raw) -> Component:
     obj = _obj(
         raw,
-        path,
+        "",
         required={"id", "kind"},
         optional={"das", "children", "compat", "priority_overrides"},
     )
-    cid = _str(obj["id"], f"{path}.id")
-    kind = _str(obj["kind"], f"{path}.kind")
+    cid = _str(obj["id"], ".id")
+    kind = _str(obj["kind"], ".kind")
     if kind not in ("leaf", "composite"):
-        raise DocumentError([f"{path}.kind: expected leaf|composite, got {kind!r}"])
+        raise _Fault(".kind", f"expected leaf|composite, got {kind!r}")
 
-    das = _items(obj.get("das", []), f"{path}.das", _parse_da)
-    children = _items(obj.get("children", []), f"{path}.children", _str)
+    das = _items(obj.get("das", []), ".das", _parse_da)
+    children = _items(obj.get("children", []), ".children", _str)
     if kind == "leaf" and children:
-        raise DocumentError([f"{path}: leaf component lists children"])
+        raise _Fault("", "leaf component lists children")
     if kind == "composite" and not children:
-        raise DocumentError([f"{path}: composite component lists no children"])
+        raise _Fault("", "composite component lists no children")
 
     compat = None
     if "compat" in obj:
-        compat = _parse_compat(obj["compat"], f"{path}.compat")
+        compat = _at(".compat", _parse_compat, obj["compat"])
     overrides = {}
     if "priority_overrides" in obj:
-        overrides = _map(obj["priority_overrides"], f"{path}.priority_overrides", _int)
+        overrides = _map(obj["priority_overrides"], ".priority_overrides", _int)
     return Component(
         id=cid,
         das=das,
@@ -301,145 +352,130 @@ def _parse_component(raw, path: str) -> Component:
     )
 
 
-def _parse_da(raw, path: str) -> DesignAlternative:
-    obj = _obj(
-        raw, path, required={"id", "priority"}, optional={"annotations", "estimate"}
-    )
+def _parse_da(raw) -> DesignAlternative:
+    obj = _obj(raw, "", required={"id", "priority"}, optional={"annotations", "estimate"})
     annotations = {}
     if "annotations" in obj:
-        annotations = _map(obj["annotations"], f"{path}.annotations", _str)
+        annotations = _map(obj["annotations"], ".annotations", _str)
     estimate = None
     if "estimate" in obj:
-        estimate = _items(obj["estimate"], f"{path}.estimate", _int)
+        estimate = _items(obj["estimate"], ".estimate", _int)
     return DesignAlternative(
-        id=_str(obj["id"], f"{path}.id"),
-        priority=_int(obj["priority"], f"{path}.priority"),
+        id=_str(obj["id"], ".id"),
+        priority=_int(obj["priority"], ".priority"),
         annotations=annotations,
         estimate=estimate,
     )
 
 
-def _parse_compat(raw, path: str) -> CompatibilityTable:
-    obj = _obj(raw, path, required={"default", "pairs"}, optional=set())
-    default = _int(obj["default"], f"{path}.default")
+def _parse_compat(raw) -> CompatibilityTable:
+    obj = _obj(raw, "", required={"default", "pairs"}, optional=set())
+    default = _int(obj["default"], ".default")
+    pairs = _list(obj["pairs"], ".pairs")
     entries: dict[tuple[str, str], int] = {}
-    for j, pair_raw in enumerate(_list(obj["pairs"], f"{path}.pairs")):
-        ppath = f"{path}.pairs[{j}]"
-        pair = _list(pair_raw, ppath)
-        if len(pair) != 3:
-            raise DocumentError([f"{ppath}: expected [id, id, value]"])
-        a = _str(pair[0], f"{ppath}[0]")
-        b = _str(pair[1], f"{ppath}[1]")
-        value = _int(pair[2], f"{ppath}[2]")
-        key = CompatibilityTable.key(a, b)
-        if key in entries and entries[key] != value:
-            raise DocumentError([f"{ppath}: conflicting duplicate for pair {key}"])
-        entries[key] = value
+    try:
+        for j, pair in enumerate(pairs):
+            if len(_list(pair)) != 3:
+                raise _Fault("", "expected [id, id, value]")
+            a = _str(pair[0], "[0]")
+            b = _str(pair[1], "[1]")
+            value = _int(pair[2], "[2]")
+            key = CompatibilityTable.key(a, b)
+            if entries.setdefault(key, value) != value:
+                raise _Fault("", f"conflicting duplicate for pair {key}")
+    except _Fault as fault:
+        fault.where = f".pairs[{j}]{fault.where}"
+        raise
     return CompatibilityTable(default=default, entries=entries)
 
 
-@contextmanager
-def _knapsack_rule(path: str):
-    """Report a broken knapsack rule as a diagnostic at ``path``."""
-    try:
-        yield
-    except KnapsackError as exc:
-        raise DocumentError([f"{path}: {exc}"]) from None
-
-
-def _parse_knapsack(raw, path: str) -> KnapsackSection:
-    obj = _obj(raw, path, required={"groups"}, optional={"kernel", "budgets"})
+def _parse_knapsack(raw) -> KnapsackSection:
+    obj = _obj(raw, "", required={"groups"}, optional={"kernel", "budgets"})
     kernel = {}
     if "kernel" in obj:
-        kernel = _map(obj["kernel"], f"{path}.kernel", _str)
-    groups = _items(obj["groups"], f"{path}.groups", _parse_group)
-    with _knapsack_rule(f"{path}.groups"):
-        instance = KnapsackInstance(groups=groups, budget=0)
-    with _knapsack_rule(f"{path}.kernel"):
-        check_kernel(kernel, instance)
-    budgets = _items(obj.get("budgets", []), f"{path}.budgets", _parse_budget)
+        kernel = _map(obj["kernel"], ".kernel", _str)
+    groups = _items(obj["groups"], ".groups", _parse_group)
+    instance = _at(".groups", KnapsackInstance, groups=groups, budget=0)
+    _at(".kernel", check_kernel, kernel, instance)
+    budgets = _items(obj.get("budgets", []), ".budgets", _parse_budget)
     return KnapsackSection(kernel=kernel, groups=instance.groups, budgets=budgets)
 
 
-def _parse_group(raw, path: str) -> tuple[ChoiceItem, ...]:
-    obj = _obj(raw, path, required={"id", "items"}, optional=set())
-    gid = _str(obj["id"], f"{path}.id")
+def _parse_group(raw) -> tuple[ChoiceItem, ...]:
+    obj = _obj(raw, "", required={"id", "items"}, optional=set())
+    gid = _str(obj["id"], ".id")
 
-    def item(raw, ipath: str) -> ChoiceItem:
-        iobj = _obj(raw, ipath, required={"id", "cost", "profit"}, optional=set())
-        item_id = _str(iobj["id"], f"{ipath}.id")
-        cost = _number(iobj["cost"], f"{ipath}.cost")
-        profit = _number(iobj["profit"], f"{ipath}.profit")
-        with _knapsack_rule(ipath):
-            return ChoiceItem(id=item_id, group=gid, cost=cost, profit=profit)
+    def item(raw) -> ChoiceItem:
+        iobj = _obj(raw, "", required={"id", "cost", "profit"}, optional=set())
+        item_id = _str(iobj["id"], ".id")
+        cost = _number(iobj["cost"], ".cost")
+        profit = _number(iobj["profit"], ".profit")
+        return _at("", ChoiceItem, id=item_id, group=gid, cost=cost, profit=profit)
 
-    items = _items(obj["items"], f"{path}.items", item)
+    items = _items(obj["items"], ".items", item)
     if not items:
-        raise DocumentError([f"{path}.items: group is empty"])
+        raise _Fault(".items", "group is empty")
     return items
 
 
-def _parse_budget(raw, path: str):
-    budget = _number(raw, path)
-    with _knapsack_rule(path):
-        KnapsackInstance(groups=(), budget=budget)  # the budget rule alone
+def _parse_budget(raw):
+    budget = _number(raw)
+    _at("", KnapsackInstance, groups=(), budget=budget)  # the budget rule alone
     return budget
 
 
-def _parse_options(raw, path: str, model: MorphModel) -> DocumentOptions:
-    obj = _obj(raw, path, required=set(), optional={"name", "notes", "expected"})
-    name = _str(obj["name"], f"{path}.name") if "name" in obj else None
-    notes = _items(obj.get("notes", []), f"{path}.notes", _str)
+def _parse_options(raw, model: MorphModel) -> DocumentOptions:
+    obj = _obj(raw, "", required=set(), optional={"name", "notes", "expected"})
+    name = _str(obj["name"], ".name") if "name" in obj else None
+    notes = _items(obj.get("notes", []), ".notes", _str)
     expected = _items(
-        obj.get("expected", []),
-        f"{path}.expected",
-        lambda raw, epath: _parse_expected(raw, epath, model),
+        obj.get("expected", []), ".expected", lambda raw: _parse_expected(raw, model)
     )
     return DocumentOptions(name=name, notes=notes, expected=expected)
 
 
-def _parse_expected(raw, path: str, model: MorphModel) -> ExpectedSolution:
+def _parse_expected(raw, model: MorphModel) -> ExpectedSolution:
     obj = _obj(
         raw,
-        path,
+        "",
         required={"name", "node", "picks", "quality"},
         optional={"kind", "note"},
     )
-    picks = _map(obj["picks"], f"{path}.picks", _str)
-    qobj = _obj(obj["quality"], f"{path}.quality", required={"w", "e"}, optional=set())
-    e = _items(qobj["e"], f"{path}.quality.e", _int)
+    picks = _map(obj["picks"], ".picks", _str)
+    qobj = _obj(obj["quality"], ".quality", required={"w", "e"}, optional=set())
+    e = _items(qobj["e"], ".quality.e", _int)
     if len(e) != model.scale.levels:
-        raise DocumentError([f"{path}.quality.e: expected {model.scale.levels} levels"])
+        raise _Fault(".quality.e", f"expected {model.scale.levels} levels")
     kind = obj.get("kind", "ordinal")
     if kind not in ("ordinal", "median"):
-        raise DocumentError([f"{path}.kind: expected ordinal|median, got {kind!r}"])
-    node = _str(obj["node"], f"{path}.node")
-    _check_picks(model, node, picks, path)
+        raise _Fault(".kind", f"expected ordinal|median, got {kind!r}")
+    node = _str(obj["node"], ".node")
+    _check_picks(model, node, picks)
     return ExpectedSolution(
-        name=_str(obj["name"], f"{path}.name"),
+        name=_str(obj["name"], ".name"),
         node=node,
         picks=picks,
-        w=_int(qobj["w"], f"{path}.quality.w"),
+        w=_int(qobj["w"], ".quality.w"),
         e=e,
         kind=kind,
-        note=_str(obj["note"], f"{path}.note") if "note" in obj else None,
+        note=_str(obj["note"], ".note") if "note" in obj else None,
     )
 
 
-def _check_picks(model: MorphModel, node: str, picks: Mapping[str, str], path: str) -> None:
+def _check_picks(model: MorphModel, node: str, picks: Mapping[str, str]) -> None:
     """An expected entry names a composite node and one alternative of
     each of its children."""
     comp = model.components.get(node)
     if comp is None or comp.is_leaf:
-        raise DocumentError([f"{path}: {node!r} is not a composite component"])
+        raise _Fault("", f"{node!r} is not a composite component")
     if set(picks) != set(comp.children):
-        raise DocumentError(
-            [f"{path}.picks: expected picks for {sorted(comp.children)}, got {sorted(picks)}"]
+        raise _Fault(
+            ".picks", f"expected picks for {sorted(comp.children)}, got {sorted(picks)}"
         )
     for child_id, pick in picks.items():
         if pick not in {da.id for da in model.components[child_id].das}:
-            raise DocumentError(
-                [f"{path}.picks[{child_id}]: component {child_id} has no alternative {pick!r}"]
+            raise _Fault(
+                f".picks[{child_id}]", f"component {child_id} has no alternative {pick!r}"
             )
 
 
@@ -590,37 +626,13 @@ def _json_key(key) -> str:
 def _write_json(value, out: list[str], newline: str) -> None:
     """Append ``value`` to ``out``; ``newline`` starts a line at the
     value's own depth. Plain str and int members, most of a document,
-    are written in place rather than by a call."""
-    if isinstance(value, str):
-        out.append(_json_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in value:
-            out.append(sep)
-            sep = comma
-            kind = type(item)
-            if kind is str:
-                out.append(_json_str(item))
-            elif kind is int:
-                out.append(int.__repr__(item))
-            else:
-                _write_json(item, out, inner)
-        out.append(newline + "]")
-    elif isinstance(value, dict):
+    are written in place rather than by a call, so a value that gets
+    here is almost always a container: plain dicts and lists are tested
+    first, by exact type. Scalars, and subclasses of the JSON types,
+    then take json's own isinstance order; a container subclass is
+    written as the plain dict or list of its items."""
+    kind = type(value)
+    if kind is dict:
         if not value:
             out.append("{}")
             return
@@ -639,6 +651,39 @@ def _write_json(value, out: list[str], newline: str) -> None:
             else:
                 _write_json(item, out, inner)
         out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            sep = comma
+            kind = type(item)
+            if kind is str:
+                out.append(_json_str(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        _write_json(list(value), out, newline)
+    elif isinstance(value, dict):
+        _write_json(dict(value.items()), out, newline)
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
