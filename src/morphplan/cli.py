@@ -139,6 +139,16 @@ def _parse_budget(text: str):
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1]: {text!r}")
+    return value
+
+
 # Each flag that more than one command takes, declared once.
 _FLAGS = {
     "--algorithm": {"choices": ["dp", "brute"], "default": "dp"},
@@ -149,7 +159,7 @@ _FLAGS = {
     "--method": {"choices": ["greedy", "exact"], "default": "greedy"},
     "--enforce-condition2": {"choices": ["true", "false"], "default": "true"},
     "--metric": {"choices": ["max", "sum"], "default": "max"},
-    "--threshold": {"type": float, "default": 1.0},
+    "--threshold": {"type": _threshold, "default": 1.0},
 }
 
 
@@ -192,13 +202,11 @@ def _render(report: dict, fmt: str, dot: str | None = None) -> str:
 
 
 def _echo_args(args) -> dict:
-    skip = {"handler", "command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Fraction) else value
-    return out
+    return {
+        key: str(value) if isinstance(value, Fraction) else value
+        for key, value in vars(args).items()
+        if key not in ("handler", "command")
+    }
 
 
 def _solution_dict(sol: CompositeSolution, layer: int) -> dict:
@@ -206,7 +214,7 @@ def _solution_dict(sol: CompositeSolution, layer: int) -> dict:
         "label": sol.label,
         "picks": sol.picks_map(),
         "w": sol.quality.w,
-        "e": list(sol.quality.e),
+        "e": sol.quality.e,
         "layer": layer,
         "deviation": sol.deviation,
     }
@@ -249,8 +257,8 @@ def _named_entry(exp, computed: QualityVector, warnings: list[str]) -> dict:
         "name": exp.name,
         "node": exp.node,
         "picks": dict(exp.picks),
-        "computed": {"w": computed.w, "e": list(computed.e)},
-        "reference": {"w": reference.w, "e": list(reference.e)},
+        "computed": {"w": computed.w, "e": computed.e},
+        "reference": {"w": reference.w, "e": reference.e},
         "match": match,
     }
 
@@ -315,12 +323,12 @@ def _bottlenecks_section(
                 {
                     "kind": act.kind,
                     "component": act.component,
-                    "target": list(act.target) if isinstance(act.target, tuple) else act.target,
+                    "target": act.target,
                     "before": act.before,
                     "after": act.after,
                     "describe": act.describe(),
                     "new_w": act.new_quality.w,
-                    "new_e": list(act.new_quality.e),
+                    "new_e": act.new_quality.e,
                 }
                 for act in solution_bottlenecks(sol, model)
             ]
@@ -365,7 +373,7 @@ def _aggregation_section(knapsack: KnapsackSection, budget, method: str) -> list
                     "total_profit": number_out(plan.total_profit),
                     "alternatives": [
                         {
-                            "items": list(alt.item_ids()),
+                            "items": alt.item_ids(),
                             "cost": number_out(alt.total_cost),
                             "profit": number_out(alt.total_profit),
                         }

@@ -586,9 +586,13 @@ def serialize_document(doc: ModelDocument) -> str:
 
 def canonical_json(data) -> str:
     """The bytes of ``json.dumps(data, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"``, written by one recursive pass into a
-    list: with an indent, json falls back to its generator encoder,
-    which costs about twice as much."""
+    ensure_ascii=False, allow_nan=False) + "\\n"`` for the plain values
+    the program builds: dicts with str keys, lists and tuples, str, int,
+    finite float, True, False and None, by exact type. Any other value,
+    a subclass of these types or a key that is not a str included, is a
+    TypeError; a NaN or infinite float is a ValueError. It is written by
+    one recursive pass into a list: with an indent, json falls back to
+    its generator encoder, which costs about twice as much."""
     out: list[str] = []
     _write_json(data, out, "\n")
     out.append("\n")
@@ -598,39 +602,11 @@ def canonical_json(data) -> str:
 _json_str = json.encoder.encode_basestring
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key) -> str:
-    # json's conversions of a key that is not a str, in its order.
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _write_json(value, out: list[str], newline: str) -> None:
     """Append ``value`` to ``out``; ``newline`` starts a line at the
     value's own depth. Plain str and int members, most of a document,
     are written in place rather than by a call, so a value that gets
-    here is almost always a container: plain dicts and lists are tested
-    first, by exact type. Scalars, and subclasses of the JSON types,
-    then take json's own isinstance order; a container subclass is
-    written as the plain dict or list of its items."""
+    here is almost always a container: dicts and lists are tested first."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -639,9 +615,11 @@ def _write_json(value, out: list[str], newline: str) -> None:
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             out.append(sep)
             sep = comma
-            out.append(_json_str(key if isinstance(key, str) else _json_key(key)))
+            out.append(_json_str(key))
             out.append(": ")
             kind = type(item)
             if kind is str:
@@ -668,24 +646,22 @@ def _write_json(value, out: list[str], newline: str) -> None:
             else:
                 _write_json(item, out, inner)
         out.append(newline + "]")
-    elif isinstance(value, str):
+    elif kind is str:
         out.append(_json_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
     elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
-        _write_json(list(value), out, newline)
-    elif isinstance(value, dict):
-        _write_json(dict(value.items()), out, newline)
     else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def model_digest(model: MorphModel) -> str:

@@ -128,21 +128,15 @@ def frontier_dot(frontier: Frontier) -> str:
     groups: dict[tuple[QualityVector, int | None], list[CompositeSolution]] = {}
     for sol in frontier.solutions:
         groups.setdefault((sol.quality, sol.deviation), []).append(sol)
-    edges = cover_edges([quality_key(q.w, q.e, dev) for q, dev in groups])
-    lines = ["digraph quality {", "  rankdir=TB;", '  node [shape=box, fontsize=10];']
+    labels = []
     by_w: dict[int, list[int]] = {}
     for i, ((q, dev), sols) in enumerate(groups.items()):
         score = str(q) if dev is None else f"{q} dev={dev}"
-        label = "\\n".join([*(_dot_escape(sol.label) for sol in sols), score])
-        lines.append(f'  n{i} [label="{label}"];')
+        labels.append("\\n".join([*(_dot_escape(sol.label) for sol in sols), score]))
         by_w.setdefault(q.w, []).append(i)
-    for w in sorted(by_w, reverse=True):
-        members = " ".join(f"n{i};" for i in by_w[w])
-        lines.append(f"  {{ rank=same; {members} }}")
-    for i, j in edges:
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    keys = [quality_key(q.w, q.e, dev) for q, dev in groups]
+    ranks = [by_w[w] for w in sorted(by_w, reverse=True)]
+    return _poset_dot("quality", "box", "n", labels, keys, ranks)
 
 
 def _dot_escape(text: str) -> str:
@@ -153,12 +147,19 @@ def _dot_escape(text: str) -> str:
 def estimate_scale_dot(estimates: Sequence[tuple[int, ...]]) -> str:
     """The dominance poset of an estimate scale, best at the top."""
     check_counts(estimates)
-    edges = cover_edges([cumulative(est) for est in estimates])
-    lines = ["digraph estimates {", "  rankdir=TB;", '  node [shape=oval, fontsize=10];']
-    for i, est in enumerate(estimates):
-        label = "(" + ",".join(str(c) for c in est) + ")"
-        lines.append(f'  e{i} [label="{label}"];')
-    for i, j in edges:
-        lines.append(f"  e{i} -> e{j};")
+    labels = ["(" + ",".join(str(c) for c in est) + ")" for est in estimates]
+    return _poset_dot("estimates", "oval", "e", labels, [cumulative(est) for est in estimates])
+
+
+def _poset_dot(graph: str, shape: str, prefix: str, labels: Sequence[str],
+               keys: Sequence[QualityKey], ranks: Sequence[Sequence[int]] = ()) -> str:
+    """A poset drawn top-down: node i is ``prefix`` i with ``labels[i]``,
+    each group of ``ranks`` shares a rank, and the edges are the cover
+    relation of ``keys``."""
+    lines = [f"digraph {graph} {{", "  rankdir=TB;", f"  node [shape={shape}, fontsize=10];"]
+    lines.extend(f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels))
+    for members in ranks:
+        lines.append("  { rank=same; " + " ".join(f"{prefix}{i};" for i in members) + " }")
+    lines.extend(f"  {prefix}{i} -> {prefix}{j};" for i, j in cover_edges(keys))
     lines.append("}")
     return "\n".join(lines) + "\n"

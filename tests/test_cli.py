@@ -249,7 +249,7 @@ BUDGET = (("--budget",), "budget", None, None, "_parse_budget")
 METHOD = (("--method",), "method", "greedy", ("greedy", "exact"), None)
 ENFORCE = (("--enforce-condition2",), "enforce_condition2", "true", ("true", "false"), None)
 METRIC = (("--metric",), "metric", "max", ("max", "sum"), None)
-THRESHOLD = (("--threshold",), "threshold", 1.0, None, "float")
+THRESHOLD = (("--threshold",), "threshold", 1.0, None, "_threshold")
 TEXT_JSON = (("--format",), "format", "text", ("text", "json"), None)
 TEXT_JSON_DOT = (("--format",), "format", "text", ("text", "json", "dot"), None)
 FLAG_CONTRACT = {
@@ -627,8 +627,9 @@ def test_zero_denominator_budget_is_a_usage_error(capsys, command):
         (["aggregate", REGION, "--budget", "abc"], "argument --budget: invalid number value: 'abc'"),
         (["report", REGION, "--budget", "abc"], "argument --budget: invalid number value: 'abc'"),
         (["synth", ARK, "--layers", "abc"], "argument --layers: invalid int value: 'abc'"),
+        (["kernel", ARK, "--threshold", "abc"], "argument --threshold: invalid float value: 'abc'"),
     ],
-    ids=["aggregate-budget", "report-budget", "synth-layers"],
+    ids=["aggregate-budget", "report-budget", "synth-layers", "kernel-threshold"],
 )
 def test_a_flag_value_that_is_not_a_number_is_a_usage_error(capsys, argv, message):
     code, out, err = run_main(capsys, argv)
@@ -764,6 +765,21 @@ def test_kernel_on_an_infeasible_root_json(tmp_path, capsys):
         "}\n"
     )
     assert run_main(capsys, ["kernel", path, "--format", "json"]) == (1, expected, "")
+
+
+INFEASIBLE_BRANCH = str(Path(__file__).parent / "golden" / "infeasible_branch.json")
+
+
+@pytest.mark.parametrize("command", ["kernel", "report"])
+@pytest.mark.parametrize("model", [ARK, INFEASIBLE_BRANCH], ids=["feasible", "infeasible-root"])
+@pytest.mark.parametrize("threshold", ["inf", "nan", "0", "-3", "1.5"])
+def test_a_threshold_outside_zero_to_one_is_a_usage_error(capsys, command, model, threshold):
+    # Checked when the flag is parsed, so an infeasible root, which
+    # never reaches the kernel, refuses it too.
+    argv = [command, model, f"--threshold={threshold}", "--format", "json"]
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --threshold: must be a number in (0, 1]: {threshold!r}\n")
 
 
 # ---------------------------------------------------------------------------
