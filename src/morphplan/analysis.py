@@ -25,7 +25,6 @@ from .model import (
     MorphModel,
     QualityVector,
     SolutionError,
-    cumulative,
     system_quality,
 )
 
@@ -81,9 +80,9 @@ def bottlenecks(
     one id share) whose compatibility attains w while w is below the
     scale top. Each action's quality follows from the solution's (w; e):
     a da-upgrade moves one count from level p to p-1, an edge-upgrade
-    raises its table pair to w+1 (as ``apply_improvement`` does to a
-    model). Actions that strictly improve the quality come first, then
-    larger w gains, then larger count gains.
+    lifts w to w+1 when its table pair is the only one at w (as
+    ``apply_improvement`` would). Strictly improving actions come first,
+    then w gains, then da-upgrades before edge-upgrades.
     """
     node = model.component(solution.node)
     base = system_quality(solution.picks_map(), node, model)
@@ -101,23 +100,20 @@ def bottlenecks(
 
     if w < model.scale.max_compat:
         pick_ids = [pick for _, pick in solution.picks]
-        pairs = {
-            CompatibilityTable.key(a, b): model.compat_value(node, a, b)
+        at_w = {
+            CompatibilityTable.key(a, b)
             for i, a in enumerate(pick_ids)
             for b in pick_ids[i + 1 :]
+            if model.compat_value(node, a, b) == w
         }
-        for target, value in pairs.items():
-            if value == w:
-                new = QualityVector(min(w + 1 if k == target else v for k, v in pairs.items()), e)
-                actions.append(ImprovementAction("edge-upgrade", node.id, target, w, w + 1, new))
+        new = QualityVector(w + 1 if len(at_w) == 1 else w, e)
+        for target in at_w:
+            actions.append(ImprovementAction("edge-upgrade", node.id, target, w, w + 1, new))
 
     def rank(action: ImprovementAction):
         new = action.new_quality
-        strictly_better = new.strictly_dominates(base)
-        w_gain = new.w - base.w
-        e_gain = sum(cumulative(new.e)) - sum(cumulative(base.e))
         target = action.target if isinstance(action.target, str) else ",".join(action.target)
-        return (not strictly_better, -w_gain, -e_gain, action.kind, target)
+        return (not new.strictly_dominates(base), base.w - new.w, action.kind, target)
 
     actions.sort(key=rank)
     return actions

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,11 +127,25 @@ def _layer_count(text: str) -> int:
     return value
 
 
+# A number with an exponent (group 1), compiled on first use. Fraction
+# expands 10**exponent before anything can check it, so an exponent
+# beyond the digits that an int prints by default is refused first.
+_EXPONENT = r"\s*[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?(\d[\d_]*)\s*"
+_MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300
+
+
 def _parse_budget(text: str):
     try:
         return int(text)
     except ValueError:
         pass
+    exponent = re.fullmatch(_EXPONENT, text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"exponent must be between -{_MAX_EXPONENT} and {_MAX_EXPONENT}: {text!r}"
+            )
     try:
         return Fraction(text)
     except ValueError:
@@ -169,35 +184,34 @@ _FLAGS = {
 
 
 def _model_command(build):
-    """A command on a model document. The handler parses the document,
-    starts the report with the command, its arguments and the model,
+    """A command on a model document. The handler parses the document
     and calls ``build(args, doc, report)``, which adds the command's
     sections and returns the exit code and, for ``--format dot``, the
-    text to print in place of the report."""
+    drawing to print as it is. The handler writes a printed report's
+    header (command, arguments, model) after ``build`` returns."""
 
     @functools.wraps(build)
     def handler(args) -> CommandResult:
         doc = parse_model_file(args.model)
-        model = doc.model
-        report: dict = {
-            "command": args.command,
-            "arguments": _echo_args(args),
-            "model": {
-                "name": doc.options.name,
-                "digest": model_digest(model),
-                "root": model.root,
-                "scale": {"l": model.scale.levels, "nu": model.scale.max_compat},
-            },
-        }
+        report: dict = {}
         code, dot = build(args, doc, report)
-        return CommandResult(output=_render(report, args.format, dot), code=code)
+        if args.format == "dot":
+            return CommandResult(output=dot, code=code)
+        model = doc.model
+        report["command"] = args.command
+        report["arguments"] = _echo_args(args)
+        report["model"] = {
+            "name": doc.options.name,
+            "digest": model_digest(model),
+            "root": model.root,
+            "scale": {"l": model.scale.levels, "nu": model.scale.max_compat},
+        }
+        return CommandResult(output=_render(report, args.format), code=code)
 
     return handler
 
 
-def _render(report: dict, fmt: str, dot: str | None = None) -> str:
-    if fmt == "dot":
-        return dot
+def _render(report: dict, fmt: str) -> str:
     return render_json(report) if fmt == "json" else render_text(report)
 
 
@@ -263,11 +277,9 @@ def _named_entry(exp, computed: QualityVector, warnings: list[str]) -> dict:
     }
 
 
-def _synth_sections(doc: ModelDocument, args, report: dict) -> SynthesisOutcome:
-    """Add the frontiers, named and warnings sections; return the
-    outcome they come from."""
+def _synth_sections(doc: ModelDocument, outcome: SynthesisOutcome, report: dict) -> None:
+    """Add the frontiers of ``outcome``, the named and the warnings sections."""
     model = doc.model
-    outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
     frontiers = report["frontiers"] = {
         node: _frontier_dict(frontier)
         for node, frontier in outcome.frontiers.items()
@@ -284,7 +296,6 @@ def _synth_sections(doc: ModelDocument, args, report: dict) -> SynthesisOutcome:
     if named:
         report["named"] = named
     report["warnings"] = warnings
-    return outcome
 
 
 def _composes_leaves(model: MorphModel, comp: Component) -> bool:
@@ -408,9 +419,10 @@ def _validated(args, doc, report) -> tuple[int, str | None]:
 def cmd_synth(args, doc, report) -> tuple[int, str | None]:
     target = args.node or doc.model.root
     node = doc.model.component(target)  # an unknown id is a usage error
-    outcome = _synth_sections(doc, args, report)
+    outcome = hierarchical_synthesize(doc.model, algorithm=args.algorithm, max_layers=args.layers)
     code = EXIT_OK if doc.model.root in outcome.frontiers else EXIT_INFEASIBLE
     if args.format != "dot":
+        _synth_sections(doc, outcome, report)
         return code, None
     frontier = outcome.frontiers.get(target)
     if frontier is None and node.is_leaf:  # synthesis skips a leaf below the root
@@ -529,7 +541,8 @@ def cmd_gen(args) -> CommandResult:
 def cmd_report(args, doc, report) -> tuple[int, str | None]:
     model = doc.model
     report["validation"] = []
-    outcome = _synth_sections(doc, args, report)
+    outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
+    _synth_sections(doc, outcome, report)
 
     nodes = [node for node in _leaf_parents(model) if node in outcome.frontiers]
     report["bottlenecks"] = {

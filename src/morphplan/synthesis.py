@@ -427,7 +427,8 @@ def hierarchical_synthesize(
             outcome.infeasible[comp.id] = "no admissible selection"
             continue
         outcome.frontiers[comp.id] = frontier
-        candidates[comp.id] = _retained_candidates(comp, model, frontier, max_layers)
+        if comp.id != model.root:  # the root has no parent to offer to
+            candidates[comp.id] = _retained_candidates(comp, model, frontier, max_layers)
     return outcome
 
 

@@ -123,6 +123,10 @@ def test_full_selection_upgrades_every_second_rank_pick(arkticheskoe):
     # the two bottleneck pairs of this selection are also actionable
     edges = {a.describe() for a in actions if a.kind == "edge-upgrade"}
     assert edges == {"(F6,I6): 1 => 2", "(G6,I6): 1 => 2"}
+    # two table pairs attain w = 1, so raising either one keeps w, and
+    # both rank after the three da-upgrades
+    assert [a.kind for a in actions] == ["da-upgrade"] * 3 + ["edge-upgrade"] * 2
+    assert [a.new_quality.w for a in actions[3:]] == [1, 1]
 
 
 def test_w3_upgrade_list_names_its_ranked_pick(arkticheskoe):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from morphplan.cli import build_parser, main, run_command
+from morphplan.cli import _parse_budget, build_parser, main, run_command
 from morphplan.fixtures import fixture_path, fixture_text
 from morphplan.model import QualityVector
 from morphplan.reporting import estimate_scale_dot, frontier_dot
@@ -688,6 +690,35 @@ def test_huge_non_whole_budget_is_a_usage_error(command, method, fmt):
     argv = [command, REGION, "--budget", HUGE_NON_WHOLE, "--method", method, "--format", fmt]
     result = run_command(argv)
     assert (result.code, result.output) == (2, FLOAT_RANGE_ERROR)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "report"])
+@pytest.mark.parametrize("budget", ["1e100000000", "1e-100000000"])
+def test_a_budget_exponent_beyond_the_int_digit_limit_is_a_usage_error(capsys, command, budget):
+    # Fraction would expand 10**100000000 first; the parser refuses the
+    # exponent before that.
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, [command, REGION, "--budget", budget])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --budget: exponent must be between -4300 and 4300: '{budget}'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e4300", 10**4300), ("-1E-4_300", Fraction(-1, 10**4300)), ("2.5e0004300", 25 * 10**4299)],
+    ids=["whole", "negative", "leading-zeros"],
+)
+def test_a_budget_exponent_up_to_the_int_digit_limit_parses(text, value):
+    assert _parse_budget(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E+4_301", "-2.5e-00004301", " .5e99999 "])
+def test_a_budget_exponent_past_the_int_digit_limit_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="exponent must be between"):
+        _parse_budget(text)
 
 
 @pytest.mark.parametrize("command", ["aggregate", "report"])

@@ -7,6 +7,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from morphplan import cli
 from morphplan.cli import run_command
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +28,27 @@ def test_cli_outputs_match_the_golden_table(monkeypatch):
     monkeypatch.chdir(ROOT)
     rows = golden_rows()
     assert len(rows) > 400
+    moved = []
+    for row in rows:
+        result = run_command(row["argv"])
+        digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
+        if (result.code, digest) != (row["code"], row["sha256"]):
+            moved.append(" ".join(row["argv"]))
+    assert moved == []
+
+
+def test_a_drawing_writes_no_report_header(monkeypatch):
+    # --format dot prints only the drawing: nothing computes the model
+    # digest or the arguments echo that a report's header would hold.
+    def refuse(*args):
+        raise AssertionError("a drawing computes no report header")
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "model_digest", refuse)
+    monkeypatch.setattr(cli, "_echo_args", refuse)
+    rows = [row for row in golden_rows() if row["argv"][-2:] == ["--format", "dot"]]
+    assert {row["argv"][0] for row in rows} == {"synth", "median"}
+    assert {"dp", "brute"} <= {row["argv"][3] for row in rows if row["argv"][0] == "synth"}
     moved = []
     for row in rows:
         result = run_command(row["argv"])

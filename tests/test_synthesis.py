@@ -330,6 +330,37 @@ def test_outcome_holds_each_composite_once_and_no_leaf(name, algorithm, monkeypa
     assert bool(outcome.infeasible) == (name == "infeasible")
 
 
+GOLDEN_DOCUMENTS = ["leaf_root", "infeasible_branch", "shared_ids"]
+
+
+@pytest.mark.parametrize("layers", [None, 1])
+@pytest.mark.parametrize("algorithm", ["dp", "brute"])
+@pytest.mark.parametrize(
+    "name",
+    ["arkticheskoe", "arkticheskoe_multiset", "kruzensternskoe", "yamal_region", *GOLDEN_DOCUMENTS],
+)
+def test_the_root_offers_no_candidates(name, algorithm, layers, monkeypatch):
+    # Retained solutions become a parent's alternatives; the root has
+    # no parent, so nothing retains its solutions.
+    if name in GOLDEN_DOCUMENTS:
+        path = Path(__file__).parent / "golden" / f"{name}.json"
+        model = parse_model(path.read_text(encoding="utf-8")).model
+    else:
+        model = parse_model(fixture_text(name)).model
+    retained = []
+    original = synthesis._retained_candidates
+
+    def spy(comp, *args):
+        retained.append(comp.id)
+        return original(comp, *args)
+
+    monkeypatch.setattr(synthesis, "_retained_candidates", spy)
+    outcome = hierarchical_synthesize(model, algorithm=algorithm, max_layers=layers)
+    assert model.root not in retained
+    composites = {c.id for c in model.postorder() if not c.is_leaf}
+    assert sorted(retained) == sorted(set(outcome.frontiers) & composites - {model.root})
+
+
 def test_only_a_leaf_root_gets_a_leaf_frontier():
     model = node_model({"C": [("c1", 2), ("c2", 1)]}, None)
     single = model.__class__(scale=model.scale, root="C", components={"C": model.components["C"]})
