@@ -12,7 +12,7 @@
     morph report      model.json [...]
 
 Every command but gen takes --format text|json|dot (dot where a poset exists).
-Exit codes: 0 success, 1 infeasibility, 2 usage or parse error.
+Exit codes: 0 success, 1 infeasibility, 2 usage, parse error or out of memory.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ def run_command(argv: Sequence[str]) -> CommandResult:
         return CommandResult(output="\n".join(lines) + "\n", code=EXIT_USAGE)
     except (MorphError, OSError, ValueError) as exc:
         return CommandResult(output=f"error: {exc}\n", code=EXIT_USAGE)
+    except MemoryError:
+        return CommandResult(output="error: out of memory\n", code=EXIT_USAGE)
 
 
 @functools.cache
@@ -130,6 +132,8 @@ def _layer_count(text: str) -> int:
 # A number with an exponent (group 1), compiled on first use. Fraction
 # expands 10**exponent before anything can check it, so an exponent
 # beyond the digits that an int prints by default is refused first.
+# The expanded value is then held to those digits too: its arguments
+# echo prints it with str().
 _EXPONENT = r"\s*[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?(\d[\d_]*)\s*"
 _MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300
 
@@ -147,11 +151,16 @@ def _parse_budget(text: str):
                 f"exponent must be between -{_MAX_EXPONENT} and {_MAX_EXPONENT}: {text!r}"
             )
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number value: {text!r}") from None
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**_MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"numerator and denominator must have at most {_MAX_EXPONENT} digits: {text!r}"
+        )
+    return value
 
 
 def _threshold(text: str) -> float:

@@ -388,7 +388,7 @@ def multiset_synthesize(
 
     states = []
     deviations = []
-    for picks, w, _ in admissible_states(node, model, lists):
+    for picks, w, _ in admissible_states(node, model, [c for _, c in lists]):
         best, deviation = consensus(picks)
         states.append((picks, w, best))
         deviations.append(deviation)

@@ -1,14 +1,15 @@
 """Composition of admissible selections and Pareto-efficient frontiers.
 
-Two ways compose a node's children. A left-to-right walk lists every
-admissible selection: the brute-force oracle, also used by estimate
-synthesis. A depth-first branch and bound (the fold) reaches only the
-selections that no other admissible selection strictly beats. Whole
-trees are solved bottom-up: each retained solution of a composite node
-becomes a design alternative of its parent, with the solution label
-as id and its layer (or a pinned override) as priority. Qualities are
-compared by ``model``'s order, and ``build_solutions`` makes the
-solutions of every composition, estimate synthesis included.
+One depth-first walk, ``admissible_states``, composes a node's
+children. Without a cut it lists every admissible selection: the
+brute-force oracle, also used by estimate synthesis. The fold gives it
+a branch-and-bound cut, so it reaches only the selections that no
+other admissible selection strictly beats. Whole trees are solved
+bottom-up: each retained solution of a composite node becomes a design
+alternative of its parent, with the solution label as id and its layer
+(or a pinned override) as priority. Qualities are compared by
+``model``'s order, and ``build_solutions`` makes the solutions of
+every composition, estimate synthesis included.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     Component,
@@ -116,44 +117,45 @@ def _compat_matrix(
     ]
 
 
-def _extend(
-    state: _State, options: Sequence[DesignAlternative], compat: _Matrix | None
-) -> list[_State]:
-    """The state with one more pick, each of ``options`` in turn, for
-    the child after its picks: w drops to the least compatibility with
-    a pick so far, and a pick that meets a zero is cut."""
-    picks, w, counts = state
-    rows = () if compat is None else [col[a] for col, a in zip(compat[len(picks)], picks)]
-    out = []
-    for b, cand in enumerate(options):
-        wv = w
-        for row in rows:
-            if row[b] < wv:
-                wv = row[b]
-                if wv == 0:
-                    break
-        if wv:
-            cnt = list(counts)
-            cnt[cand.priority - 1] += 1
-            out.append((picks + (b,), wv, tuple(cnt)))
-    return out
-
-
 def admissible_states(
     node: Component,
     model: MorphModel,
-    lists: Sequence[tuple[str, tuple[DesignAlternative, ...]]],
-) -> list[_State]:
-    """Every admissible selection, walking the children left to right:
-    add one candidate per child, keep the minimum pairwise
-    compatibility as w, count the picks per priority level, and cut a
-    pick at the first zero."""
-    cands = [c for _, c in lists]
+    cands: Sequence[Sequence[DesignAlternative]],
+    cut: Callable[[_State], bool] | None = None,
+) -> Iterator[_State]:
+    """Every admissible selection of one of ``cands`` per child, depth
+    first in walk order (the first child's candidate varies slowest):
+    each pick lowers w to the least pairwise compatibility so far and
+    adds to its priority's count, and a pick that meets a zero is cut.
+    ``cut`` is asked of every state, partial or complete, before it is
+    extended or yielded; a state it cuts goes with all its completions."""
     compat = _compat_matrix(node, model, cands)
-    states: list[_State] = [((), model.scale.max_compat, (0,) * model.scale.levels)]
-    for options in cands:
-        states = [st for state in states for st in _extend(state, options, compat)]
-    return states
+    stack: list[_State] = [((), model.scale.max_compat, (0,) * model.scale.levels)]
+    while stack:
+        state = stack.pop()
+        if cut is not None and cut(state):
+            continue
+        picks, w, counts = state
+        k = len(picks)
+        rows = () if compat is None else [col[a] for col, a in zip(compat[k], picks)]
+        out = []
+        for b, cand in enumerate(cands[k]):
+            wv = w
+            for row in rows:
+                if row[b] < wv:
+                    wv = row[b]
+                    if wv == 0:
+                        break
+            if wv:
+                cnt = list(counts)
+                cnt[cand.priority - 1] += 1
+                out.append((picks + (b,), wv, tuple(cnt)))
+        if k + 1 < len(cands):
+            stack += reversed(out)
+        elif cut is None:
+            yield from out
+        else:
+            yield from (st for st in out if not cut(st))
 
 
 def build_solutions(
@@ -191,7 +193,7 @@ def enumerate_admissible(
     so the walk touches only selections that can still be admissible.
     """
     lists = child_candidates(node, model, candidates)
-    return build_solutions(node, lists, admissible_states(node, model, lists))
+    return build_solutions(node, lists, admissible_states(node, model, [c for _, c in lists]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +299,17 @@ def synthesize_dp(
     """The admissible selections that no other admissible selection
     strictly beats (``_beats``), layered.
 
-    A depth-first branch and bound over the children, on an explicit
-    stack, trying each child's candidates best priority first. A
+    A depth-first branch and bound: the admissible walk, each child's
+    candidates best priority first, with the bound test as its cut. A
     partial selection's optimistic completion is its running w and its
     prefix sums with every open child at its best priority; no
-    completion scores above it. The partial selection is dropped as
-    soon as a complete selection found so far strictly beats that
-    bound, since that selection then strictly beats every completion.
-    The found selections are kept grouped by key, and only under keys
-    that nothing found strictly beats: a new key first evicts every
-    kept key it beats. As ``_beats`` is transitive, a find beaten by an
-    earlier one is cut when popped and one beaten by a later one is
+    completion scores above it. The walk cuts a selection as soon as a
+    complete selection found so far strictly beats that bound, since
+    that selection then strictly beats every completion. The found
+    selections are kept grouped by key, and only under keys that
+    nothing found strictly beats: a new key first evicts every kept
+    key it beats. As ``_beats`` is transitive, a find beaten by an
+    earlier one is cut when walked to and one beaten by a later one is
     evicted, so the kept groups end as the answer. The layer-1 set
     equals full enumeration's; deeper layers are those of the kept
     set, so they may come back thinner.
@@ -318,32 +320,28 @@ def synthesize_dp(
         for child_id, options in child_candidates(node, model, candidates)
     ]
     cands = [c for _, c in lists]
-    n, levels = len(cands), model.scale.levels
-    compat = _compat_matrix(node, model, cands)
 
     # suffix[k]: the prefix sums of children k.. each at its best priority.
-    suffix = [(0,) * levels]
+    suffix = [(0,) * model.scale.levels]
     for options in reversed(cands):
         best = options[0].priority
         suffix.append(tuple(s + (j >= best - 1) for j, s in enumerate(suffix[-1])))
     suffix.reverse()
 
-    stack: list[_State] = [((), model.scale.max_compat, (0,) * levels)]
-    kept: dict[QualityKey, list[_State]] = {}
-    while stack:
-        state = stack.pop()
+    def beaten(state: _State) -> bool:
         picks, w, counts = state
-        k = len(picks)
-        bound = (w, *map(add, accumulate(counts), suffix[k]))
-        if any(_beats(key, bound) for key in kept):
-            continue
-        if k < n:
-            stack.extend(reversed(_extend(state, cands[k], compat)))
-        elif bound in kept:
-            kept[bound].append(state)
+        bound = (w, *map(add, accumulate(counts), suffix[len(picks)]))
+        return any(_beats(key, bound) for key in kept)
+
+    kept: dict[QualityKey, list[_State]] = {}
+    for state in admissible_states(node, model, cands, beaten):
+        key = (state[1], *accumulate(state[2]))  # its bound, with no child open
+        if key in kept:
+            kept[key].append(state)
         else:
-            kept = {key: group for key, group in kept.items() if not _beats(bound, key)}
-            kept[bound] = [state]
+            for old in [old for old in kept if _beats(key, old)]:
+                del kept[old]
+            kept[key] = [state]
     return pareto_filter(build_solutions(node, lists, chain.from_iterable(kept.values())))
 
 
@@ -375,7 +373,7 @@ def leaf_frontier(component: Component, model: MorphModel) -> Frontier:
     """A leaf's alternatives as single-pick solutions, layered by
     priority: read for a leaf root and for a drawn leaf."""
     lists = [(component.id, component.das)]
-    states = admissible_states(component, model, lists)
+    states = admissible_states(component, model, [component.das])
     return pareto_filter(build_solutions(component, lists, states))
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from morphplan import cli
 from morphplan.cli import _parse_budget, build_parser, main, run_command
 from morphplan.fixtures import fixture_path, fixture_text
 from morphplan.model import QualityVector
@@ -708,17 +709,48 @@ def test_a_budget_exponent_beyond_the_int_digit_limit_is_a_usage_error(capsys, c
 
 @pytest.mark.parametrize(
     "text, value",
-    [("1e4300", 10**4300), ("-1E-4_300", Fraction(-1, 10**4300)), ("2.5e0004300", 25 * 10**4299)],
+    [("1e4299", 10**4299), ("-1E-4_299", Fraction(-1, 10**4299)), ("2.5e0004299", 25 * 10**4298)],
     ids=["whole", "negative", "leading-zeros"],
 )
 def test_a_budget_exponent_up_to_the_int_digit_limit_parses(text, value):
+    # 4,300 digits in the numerator or the denominator, and no more.
     assert _parse_budget(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4_300", "2.5e0004300", "123e4299", "0.1e-4299"])
+def test_a_budget_with_more_digits_than_an_int_prints_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="must have at most 4300 digits"):
+        _parse_budget(text)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "report"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("budget", ["1e4300", "1e-4300", "123e4299"])
+def test_a_budget_too_long_to_print_exits_2_when_parsed(capsys, command, fmt, budget):
+    code, out, err = run_main(capsys, [command, REGION, "--budget", budget, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --budget: numerator and denominator must have at most 4300 digits: "
+        f"'{budget}'\n"
+    )
 
 
 @pytest.mark.parametrize("text", ["1e4301", "1E+4_301", "-2.5e-00004301", " .5e99999 "])
 def test_a_budget_exponent_past_the_int_digit_limit_is_refused(text):
     with pytest.raises(argparse.ArgumentTypeError, match="exponent must be between"):
         _parse_budget(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_running_out_of_memory_in_a_handler_exits_2_with_one_line(monkeypatch, capsys, fmt):
+    # Every model command's handler reads its document first; raising
+    # there stands in for an exhausted run, with nothing allocated.
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_model_file", exhausted)
+    code, out, err = run_main(capsys, ["synth", ARK, "--format", fmt])
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("command", ["aggregate", "report"])

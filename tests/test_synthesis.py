@@ -28,6 +28,7 @@ from morphplan.model import (
 )
 from morphplan.modeldoc import parse_model
 from morphplan.synthesis import (
+    admissible_states,
     child_candidates,
     enumerate_admissible,
     hierarchical_synthesize,
@@ -114,6 +115,60 @@ def test_region_selection_counts(yamal_region):
     widened = parse_model(json.dumps(raw)).model
     sols48 = enumerate_admissible(widened.component("S"), widened)
     assert len(sols48) == 48
+
+
+# ---------------------------------------------------------------------------
+# admissible_states: the one walk
+# ---------------------------------------------------------------------------
+
+
+def walk_fixture():
+    """Three children; a2 with b1 scores zero and a1 with c1 two."""
+    model = node_model(
+        {"A": [("a1", 1), ("a2", 2)], "B": [("b1", 1), ("b2", 3)], "C": [("c1", 2), ("c2", 1)]},
+        [("a2", "b1", 0), ("a1", "c1", 2)],
+        default=3,
+    )
+    node = model.component("N")
+    return node, model, [model.component(c).das for c in node.children]
+
+
+def test_the_walk_yields_every_admissible_state_in_walk_order():
+    assert list(admissible_states(*walk_fixture())) == [
+        ((0, 0, 0), 2, (2, 1, 0)),
+        ((0, 0, 1), 3, (3, 0, 0)),
+        ((0, 1, 0), 2, (1, 1, 1)),
+        ((0, 1, 1), 3, (2, 0, 1)),
+        ((1, 1, 0), 3, (0, 2, 1)),
+        ((1, 1, 1), 3, (1, 1, 1)),
+    ]
+
+
+def test_a_cut_state_is_dropped_with_all_its_completions():
+    asked = []
+
+    def cut(state):
+        asked.append(state[0])
+        return state[0][:1] == (0,)
+
+    every = list(admissible_states(*walk_fixture()))
+    kept = list(admissible_states(*walk_fixture(), cut))
+    assert kept == [st for st in every if st[0][0] != 0]
+    # The prefix (0,) was cut before it was extended.
+    assert (0,) in asked
+    assert not [picks for picks in asked if picks[:1] == (0,) and len(picks) > 1]
+
+
+def test_the_cut_is_asked_of_complete_states_too():
+    asked = []
+
+    def cut(state):
+        asked.append(state)
+        return len(state[0]) == 3
+
+    every = list(admissible_states(*walk_fixture()))
+    assert list(admissible_states(*walk_fixture(), cut)) == []
+    assert [st for st in asked if len(st[0]) == 3] == every
 
 
 # ---------------------------------------------------------------------------
