@@ -25,7 +25,6 @@ from .model import (
     MorphModel,
     QualityVector,
     SolutionError,
-    system_quality,
 )
 
 
@@ -78,14 +77,15 @@ def bottlenecks(
     One da-upgrade per pick ranked 2 or worse, and one edge-upgrade per
     table pair (a sorted pair of pick ids, which sibling leaves offering
     one id share) whose compatibility attains w while w is below the
-    scale top. Each action's quality follows from the solution's (w; e):
-    a da-upgrade moves one count from level p to p-1, an edge-upgrade
-    lifts w to w+1 when its table pair is the only one at w (as
-    ``apply_improvement`` would). Strictly improving actions come first,
-    then w gains, then da-upgrades before edge-upgrades.
+    scale top. Each action's quality follows from the (w; e) that the
+    solution carries, which must be its true quality: a da-upgrade
+    moves one count from level p to p-1, an edge-upgrade lifts w to
+    w+1 when its table pair is the only one at w (as
+    ``apply_improvement`` would). Strictly improving actions come
+    first, then w gains, then da-upgrades before edge-upgrades.
     """
     node = model.component(solution.node)
-    base = system_quality(solution.picks_map(), node, model)
+    base = solution.quality
     w, e = base.w, base.e
 
     actions: list[ImprovementAction] = []

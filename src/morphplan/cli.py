@@ -133,9 +133,11 @@ def _layer_count(text: str) -> int:
 # expands 10**exponent before anything can check it, so an exponent
 # beyond the digits that an int prints by default is refused first.
 # The expanded value is then held to those digits too: its arguments
-# echo prints it with str().
+# echo prints it with str(). int() and Fraction refuse a run of more
+# digits (_LONG_RUN, underscores dropped) before that check can name it.
 _EXPONENT = r"\s*[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?(\d[\d_]*)\s*"
 _MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300
+_LONG_RUN = rf"\d{{{_MAX_EXPONENT + 1}}}"
 
 
 def _parse_budget(text: str):
@@ -153,10 +155,12 @@ def _parse_budget(text: str):
     try:
         value = Fraction(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number value: {text!r}") from None
+        if not re.search(_LONG_RUN, text.replace("_", "")):
+            raise argparse.ArgumentTypeError(f"invalid number value: {text!r}") from None
+        value = None
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
-    if max(abs(value.numerator), value.denominator) >= 10**_MAX_EXPONENT:
+    if value is None or max(abs(value.numerator), value.denominator) >= 10**_MAX_EXPONENT:
         raise argparse.ArgumentTypeError(
             f"numerator and denominator must have at most {_MAX_EXPONENT} digits: {text!r}"
         )

@@ -363,14 +363,14 @@ def multiset_synthesize(
     the first minimum of its picks' rows added up. Otherwise each
     selection runs ``generalized_median``.
     """
-    lists = child_candidates(node, model, None)
-    for child_id, cands in lists:
-        for cand in cands:
+    cands = child_candidates(node, model, None)
+    for child_id, options in zip(node.children, cands):
+        for cand in options:
             if cand.estimate is None:
                 raise SolutionError(
                     f"alternative {cand.id!r} of child {child_id!r} carries no estimate"
                 )
-    estimates = [cand.estimate for _, cands in lists for cand in cands]
+    estimates = [cand.estimate for options in cands for cand in options]
     check_counts(estimates)
     if metric not in ("max", "sum"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -379,28 +379,28 @@ def multiset_synthesize(
 
     # The dynamic program fills (levels - 1) * (eta + 1) rows per
     # selection, each of up to levels * eta + 1 entries under max.
-    selections = math.prod(len(cands) for _, cands in lists)
+    selections = math.prod(map(len, cands))
     rows_filled = min(selections, levels * eta + 1) * (levels - 1) * (eta + 1)
     if multiset_number(levels, eta) <= rows_filled:
-        consensus = _consensus_by_table(lists, levels, eta, enforce_gap_rule, metric)
+        consensus = _consensus_by_table(cands, levels, eta, enforce_gap_rule, metric)
     else:
-        consensus = _consensus_by_dp(lists, enforce_gap_rule, metric)
+        consensus = _consensus_by_dp(cands, enforce_gap_rule, metric)
 
     states = []
     deviations = []
-    for picks, w, _ in admissible_states(node, model, [c for _, c in lists]):
+    for picks, w, _ in admissible_states(node, model, cands):
         best, deviation = consensus(picks)
         states.append((picks, w, best))
         deviations.append(deviation)
-    return pareto_filter(build_solutions(node, lists, states, deviations))
+    return pareto_filter(build_solutions(node, cands, states, deviations))
 
 
-Candidates = Sequence[tuple[str, Sequence[DesignAlternative]]]
 Consensus = Callable[[tuple[int, ...]], tuple[Estimate, int]]
 
 
 def _consensus_by_table(
-    lists: Candidates, levels: int, eta: int, enforce_gap_rule: bool, metric: str
+    cands: Sequence[Sequence[DesignAlternative]], levels: int, eta: int,
+    enforce_gap_rule: bool, metric: str,
 ) -> Consensus:
     """picks -> (consensus, deviation) from a table over the listed
     domain: one row per distinct candidate estimate, holding its
@@ -409,15 +409,15 @@ def _consensus_by_table(
     domain_sums = [cumulative(est) for est in domain]
     by_max = metric == "max"
     rows: dict[Estimate, Row] = {}
-    for _, cands in lists:
-        for cand in cands:
+    for options in cands:
+        for cand in options:
             if cand.estimate not in rows:
                 sums = cumulative(cand.estimate)
                 # (promotions, demotions): the magnitude is their max,
                 # the edit count their sum.
                 pairs = (_edits(other, sums) for other in domain_sums)
                 rows[cand.estimate] = [max(p) if by_max else sum(p) for p in pairs]
-    child_rows = [[rows[cand.estimate] for cand in cands] for _, cands in lists]
+    child_rows = [[rows[cand.estimate] for cand in options] for options in cands]
 
     def consensus(picks: tuple[int, ...]) -> tuple[Estimate, int]:
         picked = map(list.__getitem__, child_rows, picks)
@@ -430,12 +430,14 @@ def _consensus_by_table(
     return consensus
 
 
-def _consensus_by_dp(lists: Candidates, enforce_gap_rule: bool, metric: str) -> Consensus:
+def _consensus_by_dp(
+    cands: Sequence[Sequence[DesignAlternative]], enforce_gap_rule: bool, metric: str
+) -> Consensus:
     """picks -> (consensus, deviation) from ``generalized_median``."""
 
     def consensus(picks: tuple[int, ...]) -> tuple[Estimate, int]:
         median = generalized_median(
-            [cands[a].estimate for (_, cands), a in zip(lists, picks)],
+            [options[a].estimate for options, a in zip(cands, picks)],
             enforce_gap_rule=enforce_gap_rule,
             metric=metric,
         )

@@ -14,6 +14,7 @@ every composition, estimate synthesis included.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, itemgetter
@@ -44,7 +45,6 @@ class Frontier:
     parallel to ``solutions``.
     """
 
-    node: str
     solutions: tuple[CompositeSolution, ...]
     layers: tuple[int, ...]
 
@@ -63,12 +63,12 @@ def child_candidates(
     node: Component,
     model: MorphModel,
     candidates: Mapping[str, Sequence[DesignAlternative]] | None,
-) -> list[tuple[str, tuple[DesignAlternative, ...]]]:
-    """Each child's options, in child order: its entry in ``candidates``
-    or, for a leaf, its own alternatives."""
+) -> list[tuple[DesignAlternative, ...]]:
+    """Each child's option tuple, in ``node.children`` order: its entry
+    in ``candidates`` or, for a leaf child, its own alternatives."""
     if node.is_leaf:
         raise SolutionError(f"component {node.id} is a leaf; nothing to compose")
-    lists: list[tuple[str, tuple[DesignAlternative, ...]]] = []
+    lists: list[tuple[DesignAlternative, ...]] = []
     for child_id in node.children:
         if candidates is not None and child_id in candidates:
             cands = tuple(candidates[child_id])
@@ -82,7 +82,7 @@ def child_candidates(
             cands = child.das
         if not cands:
             raise InfeasibleNodeError(node.id, f"child {child_id!r} offers no candidates")
-        lists.append((child_id, cands))
+        lists.append(cands)
     return lists
 
 
@@ -160,14 +160,18 @@ def admissible_states(
 
 def build_solutions(
     node: Component,
-    lists: Sequence[tuple[str, Sequence[DesignAlternative]]],
+    cands: Sequence[Sequence[DesignAlternative]],
     states: Iterable[_State],
     deviations: Iterable[int | None] | None = None,
 ) -> list[CompositeSolution]:
-    """One solution of ``node`` per walked state, its picks named by
-    child and candidate id, each with its entry of ``deviations`` when
-    given. The solutions of one (w, e) share one QualityVector."""
-    named = [[(child_id, cand.id) for cand in cands] for child_id, cands in lists]
+    """One solution of ``node`` per state walked over ``cands``, its
+    picks named by candidate id and by ``node.children`` (a leaf names
+    itself), each with its entry of ``deviations`` when given. The
+    solutions of one (w, e) share one QualityVector."""
+    named = [
+        [(child_id, cand.id) for cand in options]
+        for child_id, options in zip(node.children or (node.id,), cands)
+    ]
     qualities: dict[tuple[int, tuple[int, ...]], QualityVector] = {}
     out = []
     if deviations is None:
@@ -192,8 +196,8 @@ def enumerate_admissible(
     Prefixes hitting a zero-compatibility pair are cut immediately,
     so the walk touches only selections that can still be admissible.
     """
-    lists = child_candidates(node, model, candidates)
-    return build_solutions(node, lists, admissible_states(node, model, [c for _, c in lists]))
+    cands = child_candidates(node, model, candidates)
+    return build_solutions(node, cands, admissible_states(node, model, cands))
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +211,24 @@ def _key_layers(keys: Sequence[QualityKey]) -> list[int]:
     among the keys that strictly beat it.
 
     Every strict dominator of a key is lexicographically larger, so it
-    is layered before the key. The layers are found by binary search
-    over the fronts built so far (ENS-BS: Zhang, Tian, Cheng and Jin,
-    "An efficient approach to nondominated sorting for evolutionary
-    multiobjective optimization", IEEE TEVC 19(2), 2015): if a member of
-    front i beats a key, then by transitivity a member of every earlier
-    front does too, so the key's layer is one past the last front that
-    holds a dominator of it.
+    is layered before the key. Each key's front is found by
+    ``bisect_left`` over the fronts built so far (ENS-BS: Zhang, Tian,
+    Cheng and Jin, "An efficient approach to nondominated sorting for
+    evolutionary multiobjective optimization", IEEE TEVC 19(2), 2015):
+    if a member of front i beats a key, then by transitivity a member
+    of every earlier front does too, so "no member beats the key" is
+    false up to some front and true from there on, and the key's layer
+    is the first front where it holds.
     """
     fronts: list[list[QualityKey]] = []
     layers = []
     for key in keys:
-        lo, hi = 0, len(fronts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if any(dominates(member, key) for member in fronts[mid]):
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(fronts):
+        i = bisect_left(fronts, True, key=lambda front: not any(dominates(m, key) for m in front))
+        if i == len(fronts):
             fronts.append([key])
         else:
-            fronts[lo].append(key)
-        layers.append(lo + 1)
+            fronts[i].append(key)
+        layers.append(i + 1)
     return layers
 
 
@@ -282,8 +281,7 @@ def pareto_filter(solutions: Sequence[CompositeSolution]) -> Frontier:
     for s in solutions:
         if s.quality.w < 1:
             raise SolutionError(f"inadmissible solution (w=0): {s.label}")
-    ordered, layers = peel_layers(solutions)
-    return Frontier(node=nodes.pop() if nodes else "", solutions=ordered, layers=layers)
+    return Frontier(*peel_layers(solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +313,10 @@ def synthesize_dp(
     set, so they may come back thinner.
     """
     # Best priority first; ties keep the child's order.
-    lists = [
-        (child_id, tuple(sorted(options, key=attrgetter("priority"))))
-        for child_id, options in child_candidates(node, model, candidates)
+    cands = [
+        tuple(sorted(options, key=attrgetter("priority")))
+        for options in child_candidates(node, model, candidates)
     ]
-    cands = [c for _, c in lists]
 
     # suffix[k]: the prefix sums of children k.. each at its best priority.
     suffix = [(0,) * model.scale.levels]
@@ -342,7 +339,7 @@ def synthesize_dp(
             for old in [old for old in kept if _beats(key, old)]:
                 del kept[old]
             kept[key] = [state]
-    return pareto_filter(build_solutions(node, lists, chain.from_iterable(kept.values())))
+    return pareto_filter(build_solutions(node, cands, chain.from_iterable(kept.values())))
 
 
 def _beats(b: QualityKey, a: QualityKey) -> bool:
@@ -372,9 +369,9 @@ class SynthesisOutcome:
 def leaf_frontier(component: Component, model: MorphModel) -> Frontier:
     """A leaf's alternatives as single-pick solutions, layered by
     priority: read for a leaf root and for a drawn leaf."""
-    lists = [(component.id, component.das)]
-    states = admissible_states(component, model, [component.das])
-    return pareto_filter(build_solutions(component, lists, states))
+    cands = [component.das]
+    states = admissible_states(component, model, cands)
+    return pareto_filter(build_solutions(component, cands, states))
 
 
 def hierarchical_synthesize(

@@ -49,7 +49,8 @@ def model_argv(path: str, document: dict) -> list[list[str]]:
     """Every model command on one document. ``aggregate`` and ``median``
     get their full grids only on a document with a knapsack section or
     with estimates; elsewhere one row keeps their error. ``bottlenecks
-    --node`` runs on each composite whose children are all leaves."""
+    --node`` runs on each composite whose children are all leaves;
+    ``median --node`` names the root, a leaf and an unknown id."""
     leaves = [c for c in document["components"] if c["kind"] == "leaf"]
     leaf_ids = {leaf["id"] for leaf in leaves}
     leaf_parents = [
@@ -63,8 +64,10 @@ def model_argv(path: str, document: dict) -> list[list[str]]:
         aggregate = [("greedy", ())]
     if any("estimate" in da for leaf in leaves for da in leaf["das"]):
         median = list(product((*FORMATS, "dot"), ("max", "sum"), ("true", "false")))
+        median_nodes = list(product((document["root"], leaves[0]["id"], "NOPE"), FORMATS))
     else:
         median = [("text", "max", "true")]
+        median_nodes = []
     rows: list[list[str]] = []
     for fmt in FORMATS:
         rows.append(["validate", path, "--format", fmt])
@@ -83,6 +86,8 @@ def model_argv(path: str, document: dict) -> list[list[str]]:
             rows.append(["aggregate", path, "--method", method, *budget, "--format", fmt])
     for fmt, metric, gap in median:
         rows.append(["median", path, "--metric", metric, "--enforce-condition2", gap, "--format", fmt])
+    for node, fmt in median_nodes:
+        rows.append(["median", path, "--node", node, "--format", fmt])
     for algorithm in ALGORITHMS:
         rows.append(["synth", path, "--algorithm", algorithm, "--format", "dot"])
         for component in document["components"]:

@@ -168,6 +168,34 @@ def test_strictly_improving_actions_sort_first(arkticheskoe):
     assert strict == sorted(strict, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "node_id, picks, w, lookups",
+    [
+        # five picks below the scale top: each of the 10 pairs once
+        ("W", {"E": "E6", "F": "F6", "G": "G6", "J": "J6", "I": "I6"}, 1, 10),
+        # at w = nu no pair can be raised, so none is looked up
+        ("D", {"P": "P3", "Q": "Q5"}, 4, 0),
+    ],
+    ids=["W-below-top", "D-at-top"],
+)
+def test_bottlenecks_read_the_stored_quality_and_scan_each_pair_once(
+    arkticheskoe, monkeypatch, node_id, picks, w, lookups
+):
+    m = arkticheskoe.model
+    solution = make_solution(m, node_id, picks)
+    assert solution.quality.w == w
+    calls = []
+    compat_value = MorphModel.compat_value
+
+    def counted(self, node, a, b):
+        calls.append((a, b))
+        return compat_value(self, node, a, b)
+
+    monkeypatch.setattr(MorphModel, "compat_value", counted)
+    bottlenecks(solution, m)
+    assert len(calls) == lookups
+
+
 @oracle_settings
 @given(leaf_parent_solutions())
 def test_action_quality_matches_the_rebuilt_model(case):

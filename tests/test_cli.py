@@ -717,7 +717,18 @@ def test_a_budget_exponent_up_to_the_int_digit_limit_parses(text, value):
     assert _parse_budget(text) == value
 
 
-@pytest.mark.parametrize("text", ["1e4300", "-1E-4_300", "2.5e0004300", "123e4299", "0.1e-4299"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e4300",
+        "-1E-4_300",
+        "2.5e0004300",
+        "123e4299",
+        "0.1e-4299",
+        pytest.param("1" * 4301, id="4301-digit-integer"),
+        pytest.param("1/1" + "0" * 4300, id="1/1-then-4300-zeros"),
+    ],
+)
 def test_a_budget_with_more_digits_than_an_int_prints_is_refused(text):
     with pytest.raises(argparse.ArgumentTypeError, match="must have at most 4300 digits"):
         _parse_budget(text)
