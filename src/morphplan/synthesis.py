@@ -2,14 +2,15 @@
 
 One depth-first walk, ``admissible_states``, composes a node's
 children. Without a cut it lists every admissible selection: the
-brute-force oracle, also used by estimate synthesis. The fold gives it
-a branch-and-bound cut, so it reaches only the selections that no
-other admissible selection strictly beats. Whole trees are solved
-bottom-up: each retained solution of a composite node becomes a design
-alternative of its parent, with the solution label as id and its layer
-(or a pinned override) as priority. Qualities are compared by
-``model``'s order, and ``build_solutions`` makes the solutions of
-every composition, estimate synthesis included.
+brute-force oracle, also used by estimate synthesis; both walk the
+children in declared order. The fold gives it a branch-and-bound cut
+and the children fewest candidates first, so it reaches only the
+selections that no other admissible selection strictly beats. Whole
+trees are solved bottom-up: each retained solution of a composite
+node becomes a design alternative of its parent, with the solution
+label as id and its layer (or a pinned override) as priority.
+Qualities are compared by ``model``'s order, and ``build_solutions``
+makes the solutions of every composition, estimate synthesis included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, ge, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -295,7 +296,12 @@ def synthesize_dp(
     candidates: Mapping[str, Sequence[DesignAlternative]] | None = None,
 ) -> Frontier:
     """The admissible selections that no other admissible selection
-    strictly beats (``_beats``), layered.
+    strictly beats, layered.
+
+    Selection b strictly beats a when b's key (w, prefix sums of its
+    counts) is at least a's everywhere and the prefix sums differ.
+    Equal sums with larger w do not beat, so a selection that loses
+    only on w stays, on a deeper layer. The relation is transitive.
 
     A depth-first branch and bound: the admissible walk, each child's
     candidates best priority first, with the bound test as its cut. A
@@ -306,19 +312,29 @@ def synthesize_dp(
     that selection then strictly beats every completion. The found
     selections are kept grouped by key, and only under keys that
     nothing found strictly beats: a new key first evicts every kept
-    key it beats. As ``_beats`` is transitive, a find beaten by an
-    earlier one is cut when walked to and one beaten by a later one is
-    evicted, so the kept groups end as the answer. The layer-1 set
-    equals full enumeration's; deeper layers are those of the kept
-    set, so they may come back thinner.
-    """
-    # Best priority first; ties keep the child's order.
-    cands = [
-        tuple(sorted(options, key=attrgetter("priority")))
-        for options in child_candidates(node, model, candidates)
-    ]
+    key it beats. By transitivity a find beaten by an earlier one is
+    cut when walked to and one beaten by a later one is evicted, so
+    the kept groups end as exactly the unbeaten selections. The
+    layer-1 set equals full enumeration's; deeper layers are those of
+    the kept set, so they may come back thinner.
 
-    # suffix[k]: the prefix sums of children k.. each at its best priority.
+    The children are walked fewest candidates first, ties in child
+    order: the fail-first rule of tree search (Haralick and Elliott,
+    "Increasing tree search efficiency for constraint satisfaction
+    problems", AI 14, 1980). Single-candidate children then come
+    before the branching ones, so complete selections, and with them
+    bounds, are reached after fewer states. The answer cannot depend
+    on that order: which selections some other one strictly beats is
+    a property of the set of admissible selections, and the order
+    changes only how much is cut. The picks are put back in
+    ``node.children`` order before the solutions are built.
+    """
+    lists = child_candidates(node, model, candidates)
+    order = sorted(range(len(lists)), key=lambda i: len(lists[i]))
+    # Best priority first; ties keep the candidate order.
+    cands = [tuple(sorted(lists[i], key=attrgetter("priority"))) for i in order]
+
+    # suffix[k]: the prefix sums of walked children k.. each at its best priority.
     suffix = [(0,) * model.scale.levels]
     for options in reversed(cands):
         best = options[0].priority
@@ -327,29 +343,31 @@ def synthesize_dp(
 
     def beaten(state: _State) -> bool:
         picks, w, counts = state
-        bound = (w, *map(add, accumulate(counts), suffix[len(picks)]))
-        return any(_beats(key, bound) for key in kept)
+        sums = tuple(map(add, accumulate(counts), suffix[len(picks)]))
+        for kw, ks in kept:
+            if kw >= w and ks != sums and all(map(ge, ks, sums)):
+                return True
+        return False
 
-    kept: dict[QualityKey, list[_State]] = {}
+    # Complete selections by (w, prefix sums): their bound, with no child open.
+    kept: dict[tuple[int, tuple[int, ...]], list[_State]] = {}
     for state in admissible_states(node, model, cands, beaten):
-        key = (state[1], *accumulate(state[2]))  # its bound, with no child open
+        w, sums = key = (state[1], tuple(accumulate(state[2])))
         if key in kept:
             kept[key].append(state)
         else:
-            for old in [old for old in kept if _beats(key, old)]:
+            for old in [
+                (kw, ks) for kw, ks in kept if w >= kw and sums != ks and all(map(ge, sums, ks))
+            ]:
                 del kept[old]
             kept[key] = [state]
-    return pareto_filter(build_solutions(node, cands, chain.from_iterable(kept.values())))
-
-
-def _beats(b: QualityKey, a: QualityKey) -> bool:
-    """Key b strictly beats key a: at least as large everywhere, with
-    strictly better counts. The relation is transitive.
-
-    Equal counts with larger w do not beat, so a selection that loses
-    only on w stays with the fold's survivors, on a deeper layer.
-    """
-    return b[1:] != a[1:] and dominates(b, a)
+    # Back to node.children order: child i was walked at position at[i].
+    at = sorted(range(len(order)), key=order.__getitem__)
+    states = (
+        (tuple(map(picks.__getitem__, at)), w, counts)
+        for picks, w, counts in chain.from_iterable(kept.values())
+    )
+    return pareto_filter(build_solutions(node, list(map(cands.__getitem__, at)), states))
 
 
 # ---------------------------------------------------------------------------

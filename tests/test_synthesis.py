@@ -4,8 +4,10 @@ equivalence, and whole-tree runs."""
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from morphplan import synthesis
 from morphplan.fixtures import fixture_text
+from morphplan.generator import generate_document
 from morphplan.model import (
     CompatibilityTable,
     Component,
@@ -22,6 +25,7 @@ from morphplan.model import (
     InfeasibleNodeError,
     MorphModel,
     OrdinalScale,
+    PICK_SEPARATOR,
     QualityVector,
     SolutionError,
     n_dominates,
@@ -319,6 +323,192 @@ def test_identical_inputs_give_identical_ordering():
     b = synthesize_dp(node, model)
     assert [s.label for s in a.solutions] == [s.label for s in b.solutions]
     assert a.layers == b.layers
+
+
+# ---------------------------------------------------------------------------
+# fold: walk order
+# ---------------------------------------------------------------------------
+
+LADDER = [(6, 5), (7, 6), (8, 5), (9, 6), (10, 5), (10, 6), (16, 4)]
+FIXTURES = ["arkticheskoe", "arkticheskoe_multiset", "kruzensternskoe", "yamal_region"]
+
+
+def ladder_model(children, das):
+    doc = generate_document(seed=1, children=children, das=das, zero_rate=0)
+    return parse_model(json.dumps(doc)).model
+
+
+def seeded_tree(seed):
+    """A root without a table over two or three composites, each over
+    two to four leaves with a random share of their pairs listed; one
+    composite pins a priority for one of its selections."""
+    rng = random.Random(seed)
+    comps: dict[str, Component] = {}
+    parts = []
+    for p in range(rng.randint(2, 3)):
+        part = f"P{p}"
+        ids = []
+        for i in range(rng.randint(2, 4)):
+            cid = f"{part}L{i}"
+            das = tuple(
+                DesignAlternative(id=f"{cid}x{j}", priority=rng.randint(1, 3))
+                for j in range(rng.randint(1, 4))
+            )
+            comps[cid] = Component(id=cid, das=das)
+            ids.append([da.id for da in das])
+        pairs = [
+            (a, b, rng.choice((0, 1, 2, 3, 4, 4)))
+            for x in range(len(ids))
+            for y in range(x + 1, len(ids))
+            for a in ids[x]
+            for b in ids[y]
+            if rng.random() < 0.7
+        ]
+        table = CompatibilityTable.from_pairs(pairs, default=rng.choice((1, 4)))
+        children = tuple(f"{part}L{i}" for i in range(len(ids)))
+        comps[part] = Component(id=part, children=children, compat=table)
+        parts.append(part)
+    pinned = PICK_SEPARATOR.join(rng.choice(comps[c].das).id for c in comps["P0"].children)
+    comps["P0"] = replace(comps["P0"], priority_overrides={pinned: 1})
+    comps["R"] = Component(id="R", children=tuple(parts))
+    return MorphModel(scale=OrdinalScale(3, 4), root="R", components=comps)
+
+
+def relabel(model, children, cid, label):
+    """The label that selection ``label`` of ``cid`` carries once every
+    composite walks its children in the order ``children`` gives."""
+    comp = model.component(cid)
+    if comp.is_leaf:
+        return label
+    tokens = label.split(PICK_SEPARATOR)
+    segments = {}
+    for child in comp.children:
+        n = label_width(model, child)
+        segments[child] = relabel(model, children, child, PICK_SEPARATOR.join(tokens[:n]))
+        tokens = tokens[n:]
+    return PICK_SEPARATOR.join(segments[child] for child in children[cid])
+
+
+def label_width(model, cid):
+    """Tokens in a label of ``cid``: one per leaf under it."""
+    comp = model.component(cid)
+    return 1 if comp.is_leaf else sum(label_width(model, child) for child in comp.children)
+
+
+def permuted(model, children):
+    """``model`` with each composite's children in the order
+    ``children`` gives, its pinned labels renamed to match. A table
+    over composite children would need its ids renamed too; none here
+    has one."""
+    comps = dict(model.components)
+    for cid, comp in model.components.items():
+        if comp.is_leaf:
+            continue
+        assert comp.compat is None or all(model.component(c).is_leaf for c in comp.children)
+        overrides = {
+            relabel(model, children, cid, label): prio
+            for label, prio in comp.priority_overrides.items()
+        }
+        comps[cid] = replace(comp, children=children[cid], priority_overrides=overrides)
+    return replace(model, components=comps)
+
+
+def order_rows(frontier, name=lambda child, pick: pick, layer_at_most=None):
+    """The frontier as sorted rows of (picks map, w, e, deviation,
+    layer), each pick renamed by ``name``."""
+    return sorted(
+        (tuple(sorted((c, name(c, p)) for c, p in s.picks)), s.quality.w, s.quality.e, s.deviation, layer)
+        for s, layer in zip(frontier.solutions, frontier.layers)
+        if layer_at_most is None or layer <= layer_at_most
+    )
+
+
+def brute_layer_one(model, outcome):
+    """Each node's layer 1 by full enumeration over the candidates that
+    ``outcome`` offered it."""
+    candidates = {
+        cid: synthesis._retained_candidates(model.component(cid), model, frontier, None)
+        for cid, frontier in outcome.frontiers.items()
+    }
+    return {
+        cid: order_rows(
+            pareto_filter(enumerate_admissible(model.component(cid), model, candidates)), layer_at_most=1
+        )
+        for cid in outcome.frontiers
+    }
+
+
+SHAPES = {
+    **{name: lambda name=name: parse_model(fixture_text(name)).model for name in FIXTURES},
+    **{f"c{c}-d{d}": lambda c=c, d=d: ladder_model(c, d) for c, d in LADDER},
+}
+ORDER_CASES = [pytest.param(make, id=name) for name, make in SHAPES.items()] + [
+    pytest.param(lambda seed=seed: seeded_tree(seed), id=f"tree-{seed}") for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("how", ["reversed", "most-candidates-first"])
+@pytest.mark.parametrize("make", ORDER_CASES)
+def test_the_fold_answer_does_not_depend_on_child_order(make, how):
+    model = make()
+    plain = hierarchical_synthesize(model, "dp")
+
+    def count(child):
+        comp = model.component(child)
+        return len(comp.das) if comp.is_leaf else len(plain.frontiers[child].solutions)
+
+    children = {
+        cid: tuple(reversed(comp.children))
+        if how == "reversed"
+        else tuple(sorted(comp.children, key=count, reverse=True))
+        for cid, comp in model.components.items()
+        if not comp.is_leaf
+    }
+    assert any(children[cid] != model.component(cid).children for cid in children)
+    shuffled = permuted(model, children)
+    outcome = hierarchical_synthesize(shuffled, "dp")
+    assert outcome.infeasible == plain.infeasible
+    assert set(outcome.frontiers) == set(plain.frontiers)
+
+    def name(child, pick):
+        return relabel(model, children, child, pick)
+
+    for cid, frontier in plain.frontiers.items():
+        assert order_rows(outcome.frontiers[cid]) == order_rows(frontier, name), cid
+    for cid, rows in brute_layer_one(shuffled, outcome).items():
+        assert order_rows(outcome.frontiers[cid], layer_at_most=1) == rows, cid
+
+
+# States the fold's cut is asked about over the whole tree, at most: the
+# counts with the children walked fewest candidates first. Walked in
+# declared order, these shapes asked 42-223.
+FOLD_STATES = {
+    "c6-d5": 55,
+    "c7-d6": 28,
+    "c8-d5": 33,
+    "c9-d6": 30,
+    "c10-d5": 40,
+    "c10-d6": 40,
+    "c16-d4": 114,
+    "arkticheskoe": 48,
+    "arkticheskoe_multiset": 26,
+    "kruzensternskoe": 45,
+    "yamal_region": 33,
+}
+
+
+@pytest.mark.parametrize("shape, most", FOLD_STATES.items(), ids=FOLD_STATES)
+def test_the_fold_asks_its_cut_about_few_states(shape, most, monkeypatch):
+    walk = synthesis.admissible_states
+    asked = []
+
+    def counted(node, model, cands, cut=None):
+        assert cut is not None
+        return walk(node, model, cands, lambda state: asked.append(state) or cut(state))
+
+    monkeypatch.setattr(synthesis, "admissible_states", counted)
+    hierarchical_synthesize(SHAPES[shape](), "dp")
+    assert len(asked) <= most
 
 
 # ---------------------------------------------------------------------------
