@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
+_OUT_OF_MEMORY = "error: out of memory\n"
+
 # The fields of a bottleneck action that `report` prints.
 _REPORT_ACTION_FIELDS = ("kind", "describe", "new_w", "new_e")
 
@@ -54,7 +56,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     result = run_command(sys.argv[1:] if argv is None else argv)
     if result.output:
         stream = sys.stderr if result.code == EXIT_USAGE else sys.stdout
-        stream.write(result.output)
+        try:
+            stream.write(result.output)
+        except MemoryError:
+            # Writing needs a copy of the output: drop it, then report.
+            result = None
+            sys.stderr.write(_OUT_OF_MEMORY)
+            return EXIT_USAGE
     return result.code
 
 
@@ -73,7 +81,10 @@ def run_command(argv: Sequence[str]) -> CommandResult:
     except (MorphError, OSError, ValueError) as exc:
         return CommandResult(output=f"error: {exc}\n", code=EXIT_USAGE)
     except MemoryError:
-        return CommandResult(output="error: out of memory\n", code=EXIT_USAGE)
+        pass
+    # Built only once the except block has ended: inside it, the
+    # traceback keeps the handler's frames, and all they allocated, alive.
+    return CommandResult(output=_OUT_OF_MEMORY, code=EXIT_USAGE)
 
 
 @functools.cache

@@ -40,6 +40,12 @@ passes out of prepends its own step. ``_items`` adds the index
 a document without faults formats no path at all. A string or key
 holding a lone surrogate is rejected where it is read, so no
 diagnostic or output carries one.
+
+A document's canonical text (``serialize_document``, and the model
+part of it that ``model_digest`` hashes) is written straight from the
+document in the schema's key order, byte for byte what
+``canonical_json`` would write for its JSON form. ``canonical_json``
+itself writes reports and ``gen`` output.
 """
 
 from __future__ import annotations
@@ -498,21 +504,33 @@ def number_out(value):
     return value
 
 
-def document_to_dict(doc: ModelDocument) -> dict:
-    """Rebuild the JSON form of a document. Round-trips: parsing the
-    output yields an identical model digest."""
+# The canonical text's line start at each depth (two spaces a level),
+# and the separator between members at each depth.
+_D1, _D2, _D3, _D4, _D5, _D6 = ("\n" + "  " * depth for depth in range(1, 7))
+_S2, _S3, _S4, _S5, _S6 = ("," + line for line in (_D2, _D3, _D4, _D5, _D6))
+
+
+def serialize_document(doc: ModelDocument) -> str:
+    """The canonical text of a document: the bytes ``canonical_json``
+    writes for its JSON form, written in one pass from the document.
+    The key order of each schema object is fixed here, and only the
+    maps keyed by the document's own names are sorted as they are
+    written: components by id, pairs by key, annotations and priority
+    overrides. The small ``knapsack`` and ``options`` sections go
+    through ``canonical_json``'s writer. Parsing the text yields an
+    identical model digest.
+
+    The model must hold the exact types the parser builds: str ids,
+    labels and annotation texts, and int priorities, estimate counts,
+    compatibility values and scale. Any other value, a bool or a str
+    subclass included, is a TypeError."""
     model = doc.model
-    out: dict[str, Any] = {
-        "morph_schema": SCHEMA_VERSION,
-        "scale": {"l": model.scale.levels, "nu": model.scale.max_compat},
-        "root": model.root,
-        "components": [
-            _component_to_dict(comp) for comp in sorted(model.components.values(), key=lambda c: c.id)
-        ],
-    }
+    comps = sorted(model.components.values(), key=lambda c: c.id)
+    listed = f"[{_D2}{_S2.join(map(_component_text, comps))}{_D1}]" if comps else "[]"
+    out = ['{\n  "components": ', listed]
     if doc.knapsack is not None:
         ks = doc.knapsack
-        out["knapsack"] = {
+        section = {
             "kernel": dict(ks.kernel),
             "groups": [
                 {
@@ -530,15 +548,18 @@ def document_to_dict(doc: ModelDocument) -> dict:
             ],
             "budgets": [number_out(b) for b in ks.budgets],
         }
+        out.append(',\n  "knapsack": ')
+        _write_json(section, out, _D1)
+    out.append(f',\n  "morph_schema": {SCHEMA_VERSION}')
     opts = doc.options
     if opts.name or opts.notes or opts.expected:
-        oout: dict[str, Any] = {}
+        section = {}
         if opts.name:
-            oout["name"] = opts.name
+            section["name"] = opts.name
         if opts.notes:
-            oout["notes"] = list(opts.notes)
+            section["notes"] = list(opts.notes)
         if opts.expected:
-            oout["expected"] = [
+            section["expected"] = [
                 {
                     "name": exp.name,
                     "node": exp.node,
@@ -549,39 +570,70 @@ def document_to_dict(doc: ModelDocument) -> dict:
                 }
                 for exp in opts.expected
             ]
-        out["options"] = oout
-    return out
+        out.append(',\n  "options": ')
+        _write_json(section, out, _D1)
+    levels, nu = _digits(model.scale.levels), _digits(model.scale.max_compat)
+    out.append(f',\n  "root": {_quoted(model.root)},\n  "scale": {{\n    "l": {levels},\n    "nu": {nu}\n  }}\n}}\n')
+    return "".join(out)
 
 
-def _component_to_dict(comp: Component) -> dict:
-    out: dict[str, Any] = {"id": comp.id, "kind": "leaf" if comp.is_leaf else "composite"}
-    if comp.das:
-        das = []
-        for da in comp.das:
-            dout: dict[str, Any] = {"id": da.id, "priority": da.priority}
-            if da.annotations:
-                dout["annotations"] = dict(da.annotations)
-            if da.estimate is not None:
-                dout["estimate"] = list(da.estimate)
-            das.append(dout)
-        out["das"] = das
+def _component_text(comp: Component) -> str:
+    """A component as a member of ``components``, at depth 2."""
+    members = []
     if comp.children:
-        out["children"] = list(comp.children)
-    if comp.compat is not None:
-        out["compat"] = {
-            "default": comp.compat.default,
-            "pairs": [
-                [a, b, value]
-                for (a, b), value in sorted(comp.compat.entries.items())
-            ],
-        }
+        members.append(f'"children": [{_D4}{_S4.join(map(_quoted, comp.children))}{_D3}]')
+    table = comp.compat
+    if table is not None:
+        pairs = []
+        for (a, b), value in sorted(table.entries.items()):
+            if type(a) is not str or type(b) is not str or type(value) is not int:
+                _refuse("str, str, int", a, b, value)
+            pairs.append(f"[{_D6}{_json_str(a)},{_D6}{_json_str(b)},{_D6}{value}{_D5}]")
+        listed = f"[{_D5}{_S5.join(pairs)}{_D4}]" if pairs else "[]"
+        default = _digits(table.default)
+        members.append(f'"compat": {{{_D4}"default": {default},{_D4}"pairs": {listed}{_D3}}}')
+    if comp.das:
+        members.append(f'"das": [{_D4}{_S4.join(map(_da_text, comp.das))}{_D3}]')
+    members.append(f'"id": {_quoted(comp.id)}')
+    members.append('"kind": "leaf"' if comp.is_leaf else '"kind": "composite"')
     if comp.priority_overrides:
-        out["priority_overrides"] = dict(comp.priority_overrides)
-    return out
+        overrides = sorted(comp.priority_overrides.items())
+        lines = _S4.join(f"{_quoted(label)}: {_digits(value)}" for label, value in overrides)
+        members.append(f'"priority_overrides": {{{_D4}{lines}{_D3}}}')
+    return f"{{{_D3}{_S3.join(members)}{_D2}}}"
 
 
-def serialize_document(doc: ModelDocument) -> str:
-    return canonical_json(document_to_dict(doc))
+def _da_text(da: DesignAlternative) -> str:
+    """An alternative as a member of ``das``, at depth 4."""
+    did, priority = da.id, da.priority
+    if type(did) is not str or type(priority) is not int:
+        _refuse("str, int", did, priority)
+    text = f'"id": {_json_str(did)},{_D5}"priority": {priority}{_D4}}}'
+    if da.estimate is not None:
+        counts = f"[{_D6}{_S6.join(map(_digits, da.estimate))}{_D5}]" if da.estimate else "[]"
+        text = f'"estimate": {counts}{_S5}{text}'
+    if da.annotations:
+        notes = sorted(da.annotations.items())
+        lines = _S6.join(f"{_quoted(key)}: {_quoted(note)}" for key, note in notes)
+        text = f'"annotations": {{{_D6}{lines}{_D5}}}{_S5}{text}'
+    return f"{{{_D5}{text}"
+
+
+def _quoted(value) -> str:
+    if type(value) is not str:
+        _refuse("str", value)
+    return _json_str(value)
+
+
+def _digits(value) -> str:
+    if type(value) is not int:
+        _refuse("int", value)
+    return int.__repr__(value)
+
+
+def _refuse(expected: str, *values):
+    got = ", ".join(type(value).__name__ for value in values)
+    raise TypeError(f"a model value of the wrong type: expected {expected}, got {got}")
 
 
 def canonical_json(data) -> str:
@@ -666,6 +718,5 @@ def _write_json(value, out: list[str], newline: str) -> None:
 
 def model_digest(model: MorphModel) -> str:
     """Stable content hash of the model portion alone."""
-    doc = ModelDocument(model=model)
-    payload = canonical_json(document_to_dict(doc))
+    payload = serialize_document(ModelDocument(model=model))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -101,20 +101,21 @@ _State = tuple[tuple[int, ...], int, tuple[int, ...]]
 _Matrix = list[list[list[list[int]]]]
 
 
-def _compat_matrix(
-    node: Component, model: MorphModel, cands: Sequence[Sequence[DesignAlternative]]
-) -> _Matrix | None:
-    """Every pair the node's table scores, filled once per node. None
-    for a node without a table: every pair is then ``max_compat``, and
-    the running w never leaves it."""
+def _compat_matrix(node: Component, cands: Sequence[Sequence[DesignAlternative]]) -> _Matrix | None:
+    """Every pair the node's table scores, filled once per node from
+    its entries under the table's sorted-pair key. None for a node
+    without a table: every pair is then ``max_compat``, and the running
+    w never leaves it."""
     if node.compat is None:
         return None
+    get, default = node.compat.entries.get, node.compat.default
+    ids = [[cand.id for cand in options] for options in cands]
     return [
         [
-            [[model.compat_value(node, a.id, b.id) for b in cands[k]] for a in cands[i]]
+            [[get((a, b) if a <= b else (b, a), default) for b in ids[k]] for a in ids[i]]
             for i in range(k)
         ]
-        for k in range(len(cands))
+        for k in range(len(ids))
     ]
 
 
@@ -130,7 +131,7 @@ def admissible_states(
     adds to its priority's count, and a pick that meets a zero is cut.
     ``cut`` is asked of every state, partial or complete, before it is
     extended or yielded; a state it cuts goes with all its completions."""
-    compat = _compat_matrix(node, model, cands)
+    compat = _compat_matrix(node, cands)
     stack: list[_State] = [((), model.scale.max_compat, (0,) * model.scale.levels)]
     while stack:
         state = stack.pop()

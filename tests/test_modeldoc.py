@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import sys
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
+from pathlib import Path
+from typing import Any
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +19,14 @@ from hypothesis import strategies as st
 
 from morphplan.fixtures import NAMES, fixture_text
 from morphplan.generator import generate_document
-from morphplan.model import validate_model
+from morphplan.model import CompatibilityTable, Component, MorphModel, validate_model
 from morphplan.modeldoc import (
+    SCHEMA_VERSION,
     DocumentError,
+    ModelDocument,
     canonical_json,
     model_digest,
+    number_out,
     parse_model,
     parse_model_file,
     serialize_document,
@@ -773,6 +780,276 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("name", NAMES)
 def test_fixture_digests_are_pinned(name):
     assert model_digest(parse_model(fixture_text(name)).model) == PINNED_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# The document writer against the dict builder it replaced
+# ---------------------------------------------------------------------------
+
+# The reference: the nested dicts the writer's text used to be built
+# from, moved here verbatim; canonical_json of them is the old bytes.
+
+
+def document_to_dict(doc: ModelDocument) -> dict:
+    """Rebuild the JSON form of a document. Round-trips: parsing the
+    output yields an identical model digest."""
+    model = doc.model
+    out: dict[str, Any] = {
+        "morph_schema": SCHEMA_VERSION,
+        "scale": {"l": model.scale.levels, "nu": model.scale.max_compat},
+        "root": model.root,
+        "components": [
+            _component_to_dict(comp) for comp in sorted(model.components.values(), key=lambda c: c.id)
+        ],
+    }
+    if doc.knapsack is not None:
+        ks = doc.knapsack
+        out["knapsack"] = {
+            "kernel": dict(ks.kernel),
+            "groups": [
+                {
+                    "id": group[0].group,
+                    "items": [
+                        {
+                            "id": item.id,
+                            "cost": number_out(item.cost),
+                            "profit": number_out(item.profit),
+                        }
+                        for item in group
+                    ],
+                }
+                for group in ks.groups
+            ],
+            "budgets": [number_out(b) for b in ks.budgets],
+        }
+    opts = doc.options
+    if opts.name or opts.notes or opts.expected:
+        oout: dict[str, Any] = {}
+        if opts.name:
+            oout["name"] = opts.name
+        if opts.notes:
+            oout["notes"] = list(opts.notes)
+        if opts.expected:
+            oout["expected"] = [
+                {
+                    "name": exp.name,
+                    "node": exp.node,
+                    "picks": dict(exp.picks),
+                    "quality": {"w": exp.w, "e": list(exp.e)},
+                    **({"kind": exp.kind} if exp.kind != "ordinal" else {}),
+                    **({"note": exp.note} if exp.note else {}),
+                }
+                for exp in opts.expected
+            ]
+        out["options"] = oout
+    return out
+
+
+def _component_to_dict(comp: Component) -> dict:
+    out: dict[str, Any] = {"id": comp.id, "kind": "leaf" if comp.is_leaf else "composite"}
+    if comp.das:
+        das = []
+        for da in comp.das:
+            dout: dict[str, Any] = {"id": da.id, "priority": da.priority}
+            if da.annotations:
+                dout["annotations"] = dict(da.annotations)
+            if da.estimate is not None:
+                dout["estimate"] = list(da.estimate)
+            das.append(dout)
+        out["das"] = das
+    if comp.children:
+        out["children"] = list(comp.children)
+    if comp.compat is not None:
+        out["compat"] = {
+            "default": comp.compat.default,
+            "pairs": [
+                [a, b, value]
+                for (a, b), value in sorted(comp.compat.entries.items())
+            ],
+        }
+    if comp.priority_overrides:
+        out["priority_overrides"] = dict(comp.priority_overrides)
+    return out
+
+
+def assert_writes_reference_bytes(doc: ModelDocument) -> None:
+    assert serialize_document(doc) == canonical_json(document_to_dict(doc))
+    bare = canonical_json(document_to_dict(ModelDocument(model=doc.model)))
+    assert model_digest(doc.model) == hashlib.sha256(bare.encode("utf-8")).hexdigest()[:16]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [fixture_text(name) for name in NAMES]
+    + [path.read_text() for path in sorted(GOLDEN.glob("*.json")) if path.name != "cli.json"],
+    ids=list(NAMES) + [path.stem for path in sorted(GOLDEN.glob("*.json")) if path.name != "cli.json"],
+)
+def test_writer_matches_the_reference_on_bundled_documents(text):
+    assert_writes_reference_bytes(parse_model(text))
+
+
+def workload_documents() -> list[dict]:
+    """Three documents of every generated group of the benchmark's
+    workloads, each shape they use."""
+    bench = str(Path(__file__).resolve().parent.parent / "morphbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [
+        group.document(index)
+        for workload in workloads.WORKLOADS.values()
+        for group in workload.groups + workload.baseline
+        if group.make is not None
+        for index in range(min(group.pool, 3))
+    ]
+
+
+def test_writer_matches_the_reference_on_workload_documents():
+    docs = workload_documents()
+    assert len(docs) > 50
+    for raw in docs:
+        assert_writes_reference_bytes(parse_model(json.dumps(raw)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("children, das", [(1, 1), (4, 3), (6, 5)])
+def test_writer_matches_the_reference_on_generated_documents(seed, children, das):
+    raw = generate_document(seed=seed, children=children, das=das)
+    assert_writes_reference_bytes(parse_model(json.dumps(raw)))
+
+
+# Text the writer must escape (quotes, backslashes, control characters,
+# U+2028), and non-ASCII and astral text it writes as is.
+odd_text = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "ü", "Я", "\U0001f600"])
+    | st.characters(exclude_categories=("Cs",), exclude_characters="*"),
+    min_size=1,
+    max_size=5,
+)
+amounts = st.integers(0, 10**6) | st.floats(0, 1e300) | st.sampled_from([0.1, 2.5, 1e-7])
+
+
+@st.composite
+def valid_documents(draw) -> dict:
+    """A document the parser accepts: a leaf root, or a root over up to
+    four leaves with or without a table (possibly without pairs) and
+    overrides (possibly empty), with optional knapsack and options."""
+    levels, nu = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    priority = st.integers(1, levels)
+    ids = draw(st.lists(odd_text, min_size=1, max_size=5, unique=True))
+    root, leaf_ids = ids[0], ids[1:]
+
+    def alternatives() -> list:
+        das = []
+        for did in draw(st.lists(odd_text, min_size=1, max_size=3, unique=True)):
+            da = {"id": did, "priority": draw(priority)}
+            if draw(st.booleans()):
+                da["annotations"] = draw(st.dictionaries(odd_text | st.just(""), odd_text, max_size=3))
+            if draw(st.booleans()):
+                da["estimate"] = draw(st.lists(st.integers(0, 9), min_size=levels, max_size=levels))
+            das.append(da)
+        return das
+
+    if not leaf_ids:
+        comps = [{"id": root, "kind": "leaf", "das": alternatives()}]
+    else:
+        leaves = [{"id": cid, "kind": "leaf", "das": alternatives()} for cid in leaf_ids]
+        node = {"id": root, "kind": "composite", "children": leaf_ids}
+        if draw(st.booleans()):
+            pairs = {}
+            for i, one in enumerate(leaves):
+                for other in leaves[i + 1 :]:
+                    for a in one["das"]:
+                        for b in other["das"]:
+                            if draw(st.booleans()):
+                                key = tuple(sorted((a["id"], b["id"])))
+                                pairs.setdefault(key, [a["id"], b["id"], draw(st.integers(0, nu))])
+            node["compat"] = {"default": draw(st.integers(0, nu)), "pairs": list(pairs.values())}
+        if draw(st.booleans()):
+            node["priority_overrides"] = draw(st.dictionaries(odd_text, priority, max_size=3))
+        comps = leaves + [node]
+    doc = {"morph_schema": 1, "scale": {"l": levels, "nu": nu}, "root": root, "components": draw(st.permutations(comps))}
+
+    if draw(st.booleans()):
+        labels = draw(st.lists(odd_text, min_size=1, max_size=5, unique=True))
+        split = draw(st.integers(1, len(labels)))
+        sizes = [draw(st.integers(1, 3)) for _ in labels[:split]]
+        item_ids = iter(draw(st.lists(odd_text, min_size=sum(sizes), max_size=sum(sizes), unique=True)))
+        doc["knapsack"] = {
+            "kernel": {label: draw(odd_text) for label in labels[split:]},
+            "groups": [
+                {
+                    "id": label,
+                    "items": [
+                        {"id": next(item_ids), "cost": draw(amounts), "profit": draw(amounts)}
+                        for _ in range(size)
+                    ],
+                }
+                for label, size in zip(labels, sizes)
+            ],
+            "budgets": draw(st.lists(amounts, max_size=3)),
+        }
+    if draw(st.booleans()):
+        options = {"notes": draw(st.lists(odd_text, max_size=2))}
+        if draw(st.booleans()):
+            options["name"] = draw(odd_text)
+        if leaf_ids and draw(st.booleans()):
+            expected = {
+                "name": draw(odd_text),
+                "node": root,
+                "picks": {leaf["id"]: draw(st.sampled_from(leaf["das"]))["id"] for leaf in leaves},
+                "quality": {"w": draw(st.integers(0, nu)), "e": draw(st.lists(st.integers(0, 4), min_size=levels, max_size=levels))},
+            }
+            if draw(st.booleans()):
+                expected["kind"] = draw(st.sampled_from(["ordinal", "median"]))
+            if draw(st.booleans()):
+                expected["note"] = draw(odd_text)
+            options["expected"] = [expected]
+        doc["options"] = options
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(valid_documents())
+def test_writer_matches_the_reference_on_any_valid_document(raw):
+    assert_writes_reference_bytes(parse_model(json.dumps(raw)))
+
+
+def with_alternative(model: MorphModel, **changes) -> MorphModel:
+    """MINIMAL's model with leaf A's one alternative changed."""
+    leaf = model.components["A"]
+    da = dataclasses.replace(leaf.das[0], **changes)
+    return dataclasses.replace(model, components={**model.components, "A": dataclasses.replace(leaf, das=(da,))})
+
+
+def with_pair_value(model: MorphModel, value) -> MorphModel:
+    node = model.components["N"]
+    table = CompatibilityTable(default=0, entries={("a1", "b1"): value})
+    return dataclasses.replace(model, components={**model.components, "N": dataclasses.replace(node, compat=table)})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda model: with_alternative(model, priority=True),
+        lambda model: with_alternative(model, estimate=(1, True, 0)),
+        lambda model: with_alternative(model, id=Str("a1")),
+        lambda model: dataclasses.replace(model, root=Str("N")),
+        lambda model: with_pair_value(model, Fraction(3)),
+    ],
+    ids=["bool-priority", "bool-in-estimate", "str-subclass-id", "str-subclass-root", "fraction-compat-value"],
+)
+def test_writer_refuses_types_the_parser_never_builds(change):
+    model = change(parse_model(doc_text()).model)
+    with pytest.raises(TypeError):
+        serialize_document(ModelDocument(model=model))
+    with pytest.raises(TypeError):
+        model_digest(model)
 
 
 # ---------------------------------------------------------------------------
