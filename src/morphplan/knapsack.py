@@ -18,9 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 from .model import PICK_SEPARATOR, MorphError
+
+# Built once: a getter built per call costs more than a generator.
+_item_id = attrgetter("id")
+_pick_id = itemgetter(1)
 
 Number = int | Fraction
 
@@ -93,7 +98,7 @@ class Selection:
         )
 
     def item_ids(self) -> tuple[str, ...]:
-        return tuple(item.id for item in self.chosen)
+        return tuple(map(_item_id, self.chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +304,7 @@ class AggregatedPlan:
 
     @property
     def label(self) -> str:
-        return PICK_SEPARATOR.join(pick for _, pick in self.picks)
+        return PICK_SEPARATOR.join(map(_pick_id, self.picks))
 
 
 def check_kernel(kernel: Mapping[str, str], instance: KnapsackInstance) -> None:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import ge
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import ge, itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # Sanity caps on scale sizes; everything here is meant for small ordinal scales.
 MAX_LEVELS = 16
@@ -25,6 +25,9 @@ MAX_COMPAT = 16
 
 # Joins pick ids into composite-solution labels; forbidden inside DA ids.
 PICK_SEPARATOR = "*"
+
+# The alternative id of a (child, id) pick, for label joins.
+_pick_id = itemgetter(1)
 
 
 class MorphError(Exception):
@@ -260,8 +263,7 @@ class MorphModel:
                 stack.extend((child, False) for child in reversed(children))
 
 
-@dataclass(frozen=True)
-class CompositeSolution:
+class CompositeSolution(NamedTuple):
     """One pick per child of a node, with its quality.
 
     ``picks`` keeps the node's child order. ``deviation`` is only set
@@ -273,9 +275,21 @@ class CompositeSolution:
     quality: QualityVector
     deviation: int | None = None
 
+    # A tuple record, but equal only to another solution. A plain tuple
+    # on the left defers to this method too, since the class subclasses
+    # tuple; returning NotImplemented would let tuple's own == say equal.
+    # Another tuple subclass on the left still compares as a tuple.
+    def __eq__(self, other) -> bool:
+        return type(other) is CompositeSolution and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
     @property
     def label(self) -> str:
-        return PICK_SEPARATOR.join(pick for _, pick in self.picks)
+        return PICK_SEPARATOR.join(map(_pick_id, self.picks))
 
     def picks_map(self) -> dict[str, str]:
         return dict(self.picks)

@@ -386,7 +386,7 @@ def _parse_compat(raw) -> CompatibilityTable:
             a = _str(pair[0], "[0]")
             b = _str(pair[1], "[1]")
             value = _int(pair[2], "[2]")
-            key = CompatibilityTable.key(a, b)
+            key = (a, b) if a <= b else (b, a)
             if entries.setdefault(key, value) != value:
                 raise _Fault("", f"conflicting duplicate for pair {key}")
     except _Fault as fault:
@@ -585,7 +585,9 @@ def _component_text(comp: Component) -> str:
     table = comp.compat
     if table is not None:
         pairs = []
-        for (a, b), value in sorted(table.entries.items()):
+        entries = table.entries
+        for a, b in sorted(entries):
+            value = entries[a, b]
             if type(a) is not str or type(b) is not str or type(value) is not int:
                 _refuse("str, str, int", a, b, value)
             pairs.append(f"[{_D6}{_json_str(a)},{_D6}{_json_str(b)},{_D6}{value}{_D5}]")
@@ -666,13 +668,14 @@ def _write_json(value, out: list[str], newline: str) -> None:
             return
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
-        for key, item in sorted(value.items()):
+        for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             out.append(sep)
             sep = comma
             out.append(_json_str(key))
             out.append(": ")
+            item = value[key]
             kind = type(item)
             if kind is str:
                 out.append(_json_str(item))

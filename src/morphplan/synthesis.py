@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import add, attrgetter, ge, itemgetter
+from operator import add, attrgetter, ge
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -234,10 +234,6 @@ def _key_layers(keys: Sequence[QualityKey]) -> list[int]:
     return layers
 
 
-def _pick_ids(sol: CompositeSolution) -> tuple[str, ...]:
-    return tuple(map(itemgetter(1), sol.picks))
-
-
 def peel_layers(
     solutions: Sequence[CompositeSolution],
 ) -> tuple[tuple[CompositeSolution, ...], tuple[int, ...]]:
@@ -247,16 +243,24 @@ def peel_layers(
     The order is the same whatever the input order: ``quality_key``
     descending (w descending, then the counts lexicographically
     descending, then the deviation ascending where solutions carry
-    one); solutions of one quality and deviation by their pick ids.
-    The solutions are grouped once by (w, e, deviation), and only the
-    distinct groups are keyed, sorted and peeled. Raises
-    InvalidComparisonError when the count vectors differ in length or
-    total, or when only some solutions carry a deviation.
+    one); solutions of one quality and deviation by their picks. The
+    solutions of one node name the same child at each position, so
+    that is the order of their pick ids; ``pareto_filter`` refuses
+    solutions of several nodes. The solutions are grouped once by
+    (w, e, deviation), and only the distinct groups are keyed, sorted
+    and peeled. Raises InvalidComparisonError when the count vectors
+    differ in length or total, or when only some solutions carry a
+    deviation.
     """
     groups: dict[tuple[int, tuple[int, ...], int | None], list[CompositeSolution]] = {}
     for sol in solutions:
         q = sol.quality
-        groups.setdefault((q.w, q.e, sol.deviation), []).append(sol)
+        group = (q.w, q.e, sol.deviation)
+        members = groups.get(group)
+        if members is None:
+            groups[group] = [sol]
+        else:
+            members.append(sol)
     check_counts(e for _, e, _ in groups)
     if len({dev is None for _, _, dev in groups}) > 1:
         raise InvalidComparisonError("only some solutions carry a deviation")
@@ -268,7 +272,7 @@ def peel_layers(
     for key, layer in zip(keys, _key_layers(keys)):
         members = by_key[key]
         if len(members) > 1:
-            members.sort(key=_pick_ids)
+            members.sort(key=attrgetter("picks"))
         ordered += members
         layers += [layer] * len(members)
     return tuple(ordered), tuple(layers)

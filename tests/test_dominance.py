@@ -4,6 +4,7 @@ the DOT cover relation and the shape guard."""
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +16,16 @@ from morphplan.model import (
     InvalidComparisonError,
     QualityVector,
     n_dominates,
+    quality_key,
 )
 from morphplan.reporting import cover_edges, frontier_dot
-from morphplan.synthesis import pareto_filter, peel_layers
+from morphplan.synthesis import (
+    admissible_states,
+    build_solutions,
+    child_candidates,
+    pareto_filter,
+    peel_layers,
+)
 from tests.conftest import node_model
 
 # Fixed examples, so a run is reproducible; no example database on disk.
@@ -163,6 +171,49 @@ def test_peel_orders_one_quality_by_pick_ids():
     assert ab.label < az.label
     for solutions in ([az, ab], [ab, az]):
         assert peel_layers(solutions) == ((az, ab), (1, 1))
+
+
+def _pick_ids(sol: CompositeSolution) -> tuple[str, ...]:
+    return tuple(map(itemgetter(1), sol.picks))
+
+
+@st.composite
+def one_node_solutions(draw):
+    """Every selection of a table-less node over 1-3 leaves, so that many
+    share a quality; each leaf's ids out of sorted order, and ids that
+    are prefixes of one another."""
+    ids = st.text(alphabet="a!b0", min_size=1, max_size=3)
+    leaves = {}
+    for child in "ABC"[: draw(st.integers(1, 3))]:
+        names = draw(st.lists(ids, min_size=2, max_size=4, unique=True))
+        if names == sorted(names):
+            names.reverse()
+        leaves[child] = [(name, draw(st.integers(1, 2))) for name in names]
+    model = node_model(leaves, levels=2)
+    node = model.component("N")
+    cands = child_candidates(node, model, None)
+    states = list(admissible_states(node, model, cands))
+    deviations = None
+    if draw(st.booleans()):
+        deviations = draw(st.lists(st.integers(0, 2), min_size=len(states), max_size=len(states)))
+    return build_solutions(node, cands, states, deviations)
+
+
+@kernel_settings
+@given(one_node_solutions(), st.randoms(use_true_random=False))
+def test_peel_orders_each_quality_group_by_pick_ids(solutions, rng):
+    groups = {}
+    for s in solutions:
+        groups.setdefault((s.quality.w, s.quality.e, s.deviation), []).append(s)
+    expected = [
+        member
+        for group in sorted(groups, key=lambda g: quality_key(*g), reverse=True)
+        for member in sorted(groups[group], key=_pick_ids)
+    ]
+    shuffled = list(solutions)
+    rng.shuffle(shuffled)
+    for given_order in (solutions, shuffled):
+        assert list(peel_layers(given_order)[0]) == expected
 
 
 @kernel_settings

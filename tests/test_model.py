@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
 from morphplan.model import (
     CompatibilityTable,
     Component,
+    CompositeSolution,
     DesignAlternative,
     InvalidComparisonError,
     MorphModel,
@@ -317,3 +319,72 @@ def test_validate_flags_compat_value_out_of_range():
     model = node_model({"A": [("a1", 1)], "B": [("b1", 1)]}, [("a1", "b1", 9)])
     report = validate_model(model)
     assert any(v.code == "compat-range" for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# CompositeSolution: an immutable record, equal only to a CompositeSolution
+# ---------------------------------------------------------------------------
+
+
+class OtherRecord(NamedTuple):
+    node: str
+    picks: tuple
+    quality: QualityVector
+    deviation: int | None = None
+
+
+def solution(deviation=None, pick="b1"):
+    return CompositeSolution(
+        node="N", picks=(("A", "a1"), ("B", pick)), quality=QualityVector(2, (1, 1)), deviation=deviation
+    )
+
+
+@pytest.mark.parametrize("deviation", [None, 0, 3])
+def test_composite_solution_is_never_equal_to_a_plain_tuple(deviation):
+    sol = solution(deviation)
+    plain = ("N", (("A", "a1"), ("B", "b1")), QualityVector(2, (1, 1)), deviation)
+    for left, right in ((sol, plain), (plain, sol)):
+        assert not left == right
+        assert left != right
+    assert plain not in {sol} and sol not in {plain}
+    assert {plain: 1}.get(sol) is None and {sol: 1}.get(plain) is None
+
+
+def test_composite_solution_is_never_equal_to_another_record_type():
+    sol = solution()
+    other = OtherRecord(sol.node, sol.picks, sol.quality, sol.deviation)
+    assert not sol == other
+    assert sol != other
+    # With the other record on the left, its own tuple == runs first,
+    # and no method of CompositeSolution is asked; only != agreeing
+    # with == holds there.
+    assert (other == sol) is not (other != sol)
+
+
+def test_composite_solution_equality_and_hash_follow_the_fields():
+    sol = solution(1)
+    assert sol == solution(1) and not sol != solution(1)
+    assert hash(sol) == hash(solution(1))
+    # The hash of the fields, as the frozen dataclass computed it.
+    assert hash(sol) == hash((sol.node, sol.picks, sol.quality, sol.deviation))
+    for different in (solution(None), solution(2), solution(1, pick="b2")):
+        assert sol != different and not sol == different
+    assert len({solution(), solution(), solution(0), solution(pick="b2")}) == 3
+
+
+@pytest.mark.parametrize("name", ["node", "picks", "quality", "deviation"])
+def test_composite_solution_fields_cannot_be_assigned(name):
+    sol = solution()
+    with pytest.raises(AttributeError):
+        setattr(sol, name, None)
+    assert sol == solution()
+
+
+def test_composite_solution_label_and_picks_map():
+    sol = solution(pick="b1!")
+    assert sol.deviation is None
+    assert sol.label == "a1*b1!"
+    assert sol.picks_map() == {"A": "a1", "B": "b1!"}
+    single = CompositeSolution(node="L", picks=(("L", "x"),), quality=QualityVector(4, (1,)))
+    assert single.label == "x" and single.picks_map() == {"L": "x"}
+    assert CompositeSolution("N", (), QualityVector(4, (0,))).label == ""

@@ -1133,6 +1133,9 @@ def test_canonical_json_matches_json_dumps(value):
         ([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf], ValueError),
         (math.inf, ValueError),
         ({"k": {"low": -math.inf}}, ValueError),
+        # Keys of two types fail in the sort, a lone int key in the key check.
+        ({"a": 1, 2: "b"}, TypeError),
+        ({2: "b"}, TypeError),
     ],
 )
 def test_canonical_json_refuses_values_the_program_never_builds(value, error):
