@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .analysis import bottlenecks as solution_bottlenecks
 from .analysis import kernel as solution_kernel
@@ -34,7 +34,7 @@ from .model import Component, CompositeSolution, MorphError, MorphModel, Quality
 from .modeldoc import DocumentError, ExpectedSolution, KnapsackSection, ModelDocument
 from .modeldoc import canonical_json, model_digest, number_out, parse_model_file
 from .reporting import estimate_scale_dot, frontier_dot, render_json, render_text
-from .synthesis import Frontier, SynthesisOutcome, hierarchical_synthesize, leaf_frontier
+from .synthesis import Frontier, SynthesisOutcome, hierarchical_synthesize, leaf_frontier, synthesize_dp
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -335,20 +335,15 @@ def _leaf_parents(model: MorphModel) -> list[str]:
 
 def _bottlenecks_section(
     model: MorphModel,
-    outcome: SynthesisOutcome,
-    nodes: Sequence[str],
+    frontiers: Mapping[str, Frontier],
     expected: Sequence[ExpectedSolution] = (),
 ) -> dict:
     """Improvement actions by node and solution label, for the layer-1
-    solutions of each node and the named ordinal selections in
-    ``expected``."""
+    solutions of each node's frontier and the named ordinal selections
+    in ``expected``."""
     per_node: dict = {}
-    for node_id in nodes:
-        targets: dict[str, CompositeSolution] = {}
-        frontier = outcome.frontiers.get(node_id)
-        if frontier is not None:
-            for sol in frontier.layer(1):
-                targets[sol.label] = sol
+    for node_id, frontier in frontiers.items():
+        targets = {sol.label: sol for sol in frontier.layer(1)}
         for exp in expected:
             if exp.kind == "ordinal" and exp.node == node_id:
                 sol = _expected_solution(exp, model)
@@ -468,8 +463,9 @@ def cmd_bottlenecks(args, doc, report) -> tuple[int, str | None]:
         nodes = [args.node]
     else:
         nodes = _leaf_parents(model)
-    outcome = hierarchical_synthesize(model, algorithm=args.algorithm)
-    report["bottlenecks"] = _bottlenecks_section(model, outcome, nodes, doc.options.expected)
+    # Either algorithm gives these nodes the same layer 1, and no node above them is read.
+    frontiers = {node: synthesize_dp(model.component(node), model) for node in nodes}
+    report["bottlenecks"] = _bottlenecks_section(model, frontiers, doc.options.expected)
     report["warnings"] = list(doc.options.notes)
     return EXIT_OK, None
 
@@ -568,13 +564,13 @@ def cmd_report(args, doc, report) -> tuple[int, str | None]:
     outcome = hierarchical_synthesize(model, algorithm=args.algorithm, max_layers=args.layers)
     _synth_sections(doc, outcome, report)
 
-    nodes = [node for node in _leaf_parents(model) if node in outcome.frontiers]
+    frontiers = {n: outcome.frontiers[n] for n in _leaf_parents(model) if n in outcome.frontiers}
     report["bottlenecks"] = {
         node: {
             label: [{key: act[key] for key in _REPORT_ACTION_FIELDS} for act in actions]
             for label, actions in per_label.items()
         }
-        for node, per_label in _bottlenecks_section(model, outcome, nodes).items()
+        for node, per_label in _bottlenecks_section(model, frontiers).items()
     }
 
     kernel = _kernel_section(model, outcome, args.threshold)

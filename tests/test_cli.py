@@ -493,6 +493,24 @@ def test_median_command_reports_consensus_and_flags():
     assert any("WM1" in msg for msg in report["warnings"])
 
 
+def test_median_names_only_median_entries(tmp_path):
+    # An ordinal entry at the scanned node is not a median: it gets no
+    # consensus and no warning.
+    doc = json.loads(fixture_text("arkticheskoe_multiset"))
+    picks = {"E": "E3", "F": "F6", "G": "G3", "J": "J6", "I": "I3"}
+    ordinal = {"name": "WO", "node": "W", "picks": picks, "quality": {"w": 4, "e": [5, 0, 0]}}
+    doc["options"]["expected"].append({**ordinal, "kind": "ordinal"})
+    path = tmp_path / "ordinal.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]).code == 0
+    result = run_command(["median", str(path), "--format", "json"])
+    assert result.code == 0
+    report = json.loads(result.output)
+    shipped = json.loads(run_command(["median", MULTI, "--format", "json"]).output)
+    assert [entry["name"] for entry in report["named"]] == ["WM1", "WM2"]
+    assert report["warnings"] == shipped["warnings"]
+
+
 def test_median_dot_is_the_twelve_node_scale():
     result = run_command(["median", MULTI, "--format", "dot"])
     labels = re.findall(r'label="\(([0-9,]+)\)"', result.output)

@@ -9,6 +9,9 @@ from pathlib import Path
 
 from morphplan import cli
 from morphplan.cli import run_command
+from morphplan.model import CompositeSolution
+from morphplan.modeldoc import parse_model_file
+from morphplan.synthesis import enumerate_admissible, pareto_filter
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tests" / "golden" / "cli.json"
@@ -92,3 +95,30 @@ def test_bottlenecks_reads_the_same_under_either_algorithm(monkeypatch):
             assert report["arguments"].pop("algorithm") == algorithm
             runs[algorithm] = (text, result.code, report)
         assert runs["dp"] == runs["brute"]
+
+
+def test_bottlenecks_reports_the_layer_1_of_brute_force(monkeypatch):
+    # Brute force is the oracle of what bottlenecks reads: for each node
+    # whose children are all leaves, the layer-1 labels of enumeration
+    # plus the node's named ordinal selections.
+    monkeypatch.chdir(ROOT)
+    documents = sorted({row["argv"][1] for row in golden_rows() if row["argv"][0] == "bottlenecks"})
+    assert len(documents) == 7
+    checked = 0
+    for path in documents:
+        doc = parse_model_file(path)
+        model = doc.model
+        for comp in model.postorder():
+            if comp.is_leaf or not all(model.component(c).is_leaf for c in comp.children):
+                continue
+            want = {sol.label for sol in pareto_filter(enumerate_admissible(comp, model)).layer(1)}
+            want |= {
+                CompositeSolution(comp.id, tuple((c, exp.picks[c]) for c in comp.children), None).label
+                for exp in doc.options.expected
+                if exp.kind == "ordinal" and exp.node == comp.id
+            }
+            result = run_command(["bottlenecks", path, "--node", comp.id, "--format", "json"])
+            assert result.code == 0
+            assert set(json.loads(result.output)["bottlenecks"][comp.id]) == want, (path, comp.id)
+            checked += 1
+    assert checked == 10

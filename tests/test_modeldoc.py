@@ -1115,6 +1115,11 @@ def test_canonical_json_matches_json_dumps(value):
     assert canonical_json(value) == json_dumps(value)
 
 
+@pytest.mark.parametrize("value", [0, -7, 10**30, 0.1, -2.5e-300, "é\n\"", True, False, None])
+def test_canonical_json_of_a_top_level_scalar_matches_json_dumps(value):
+    assert canonical_json(value) == json_dumps(value)
+
+
 @pytest.mark.parametrize(
     "value, error",
     [
